@@ -1,29 +1,18 @@
-"""Induction fast-path benchmarks → ``BENCH_induction.json``.
+"""Induction fast-path benchmark → ``BENCH_induction.json``.
 
-Two headline ratios, one per tentpole layer of the induction fast path:
+One headline ratio, ``pruned_vs_exhaustive``: end-to-end single-node
+induction on a large generated listing page (wide sideways structure,
+the worst case for exhaustive candidate generation), default
+exhaustive search vs. ``search="pruned"`` (SPSA-ranked candidate beam
++ trimmed generation ceilings).  Gated at ≥ 2.0× on **any** host: both
+sides run on the same machine and the win is algorithmic (fewer
+candidates generated and scored), not parallelism.
 
-* ``pruned_vs_exhaustive`` — end-to-end single-node induction on a
-  large generated listing page (wide sideways structure, the worst case
-  for exhaustive candidate generation), default exhaustive search vs.
-  ``search="pruned"`` (SPSA-ranked candidate beam + trimmed generation
-  ceilings).  Gated at ≥ 2.0× on **any** host: both sides run on the
-  same machine and the win is algorithmic (fewer candidates generated
-  and scored), not parallelism.
-* ``parallel_folds_vs_serial`` — multi-sample aggregation
-  (Algorithm 3) with ``fold_workers=2`` on the persistent process pool
-  vs. the serial fold loop.  Self-arming: the win *is* process-level
-  parallelism, so the gate applies only on hosts with ≥ 2 CPUs
-  (``bench_cluster.py``'s pattern, recorded per-metric in
-  ``gate_applies``).
-
-Correctness is asserted before any timing counts:
-
-* pruned search must keep the best query's F1 within
-  ``QUALITY_TOLERANCE`` of exhaustive on every golden corpus task in
-  the sampled subset *and* on the large page — a fast path that finds
-  worse wrappers is a regression, not an optimisation;
-* pooled folds must return byte-identical results to serial folds
-  (same queries, same scores, same order).
+Correctness is asserted before any timing counts: pruned search must
+keep the best query's F1 within ``QUALITY_TOLERANCE`` of exhaustive on
+every golden corpus task in the sampled subset *and* on the large page
+— a fast path that finds worse wrappers is a regression, not an
+optimisation.
 """
 
 from __future__ import annotations
@@ -42,7 +31,6 @@ from repro.evolution.archive import SyntheticArchive
 from repro.experiments.reporting import banner, format_table
 from repro.induction.config import InductionConfig
 from repro.induction.induce import WrapperInducer
-from repro.induction.samples import QuerySample
 from repro.sites import single_node_tasks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -54,9 +42,6 @@ REQUIRED_SPEEDUP = 2.0
 #: Quality floor: pruned best-query F1 may trail exhaustive by at most
 #: this much on any golden task (the documented parity tolerance).
 QUALITY_TOLERANCE = 0.01
-
-#: Fold-pool width for the parallel headline.
-FOLD_WORKERS = 2
 
 ADJECTIVES = ["solid", "bright", "spare", "quick", "worn", "plain", "deep", "fine"]
 NOUNS = ["widget", "gasket", "lamp", "crate", "valve", "panel", "spool", "brush"]
@@ -149,22 +134,6 @@ def best_f1(result) -> float:
     return 2 * best.tp / denominator if denominator else 0.0
 
 
-def multi_sample_task(n_snapshots: int = 4):
-    """Samples for the fold benchmark: the first corpus task whose role
-    has targets on at least three of the first ``n_snapshots`` pages."""
-    for corpus_task in single_node_tasks():
-        archive = SyntheticArchive(corpus_task.spec, n_snapshots=n_snapshots)
-        samples = []
-        for index in range(n_snapshots):
-            doc = archive.snapshot(index)
-            targets = archive.targets(doc, corpus_task.task.role)
-            if targets:
-                samples.append(QuerySample(doc, list(targets)))
-        if len(samples) >= 3:
-            return corpus_task.task_id, samples
-    raise AssertionError("no corpus task with >= 3 multi-snapshot samples")
-
-
 def test_induction_bench(benchmark, emit):
     cpus = len(os.sched_getaffinity(0))
     repeat = scale(2, 3)
@@ -216,30 +185,6 @@ def test_induction_bench(benchmark, emit):
         assert not worse, f"pruned search degraded best-query F1: {worse}"
         results["quality_tasks_checked"] = scale(12, 84)
         results["quality_tasks_worse"] = len(worse)
-
-        # Parallel folds: byte-identity first, then the timing.  The
-        # first pooled call warms the persistent worker pool so the
-        # timed runs measure steady-state fan-out, not process spawn.
-        task_id, samples = multi_sample_task()
-        results["fold_task"] = task_id
-        results["fold_count"] = len(samples)
-        serial = WrapperInducer(k=10, config=exhaustive_config)
-        pooled = WrapperInducer(
-            k=10,
-            config=dataclasses.replace(exhaustive_config, fold_workers=FOLD_WORKERS),
-        )
-        serial_result = serial.induce(samples)
-        pooled_result = pooled.induce(samples)
-        assert pooled_result.export() == serial_result.export(), (
-            "pooled folds are not byte-identical to serial folds"
-        )
-        assert pooled_result.stats is not None and pooled_result.stats.pooled
-        results["serial_folds_s"] = timeit(
-            lambda: serial.induce(samples), repeat=repeat
-        )
-        results["parallel_folds_s"] = timeit(
-            lambda: pooled.induce(samples), repeat=repeat
-        )
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -248,19 +193,12 @@ def test_induction_bench(benchmark, emit):
         "pruned_vs_exhaustive": (
             results["exhaustive_large_page_s"] / results["pruned_large_page_s"]
         ),
-        "parallel_folds_vs_serial": (
-            results["serial_folds_s"] / results["parallel_folds_s"]
-        ),
     }
     payload = {
         "current": results,
         "speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
         "quality_tolerance": QUALITY_TOLERANCE,
-        "fold_workers": FOLD_WORKERS,
-        # The pruned ratio is algorithmic and gates everywhere; the
-        # fold ratio is process parallelism and self-arms on CPU count.
-        "gate_applies": {"speedup.parallel_folds_vs_serial": cpus >= 2},
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -287,14 +225,3 @@ def test_induction_bench(benchmark, emit):
         f"pruned search is only {speedup['pruned_vs_exhaustive']:.2f}x "
         f"exhaustive on the large page (required: {REQUIRED_SPEEDUP}x)"
     )
-    if cpus >= 2:
-        assert speedup["parallel_folds_vs_serial"] >= 1.2, (
-            f"pooled folds are only {speedup['parallel_folds_vs_serial']:.2f}x "
-            f"serial at fold_workers={FOLD_WORKERS} (required: 1.2x)"
-        )
-    else:
-        print(
-            f"NOTE: single-CPU host ({cpus} usable core(s)) — the fold "
-            f"parallelism gate cannot materialize and is recorded "
-            f"unasserted: {speedup['parallel_folds_vs_serial']:.2f}x"
-        )

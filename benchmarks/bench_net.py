@@ -26,18 +26,13 @@ records the auth-on vs. auth-off throughput ratio, so the per-request
 cost of authentication/admission stays visible (reported, not gated:
 the ratio is new relative to the committed baseline).
 
-Two raw-speed-tier ratios ride along, both self-arming (asserted only
-on multi-core hosts; 1-CPU containers record them with a per-metric
-``gate_applies`` of ``false``):
-
-* **cached_page_vs_cold** — the in-process stream with every request
-  its own dispatch batch (coalescing off the table), parse cache on vs.
-  off: the cross-request win of the content-hash
-  :class:`~repro.runtime.serve.ParseCache`.  Required ≥ 2.0× when the
-  gate arms;
-* **bulk_stream_vs_json** — the whole stream as one ``/extract_many``
-  request, NDJSON streaming vs. buffered JSON wire mode (reported, not
-  thresholded here).
+A raw-speed-tier ratio rides along, self-arming (asserted only on
+multi-core hosts; 1-CPU containers record it with a per-metric
+``gate_applies`` of ``false``): **cached_page_vs_cold** — the
+in-process stream with every request its own dispatch batch
+(coalescing off the table), parse cache on vs. off: the cross-request
+win of the content-hash :class:`~repro.runtime.serve.ParseCache`.
+Required ≥ 2.0× when the gate arms.
 """
 
 from __future__ import annotations
@@ -132,7 +127,7 @@ class ServerThread:
 CONSUMERS = 3
 
 
-def build_request_stream(n_snapshots: int):
+def build_requests(n_snapshots: int):
     """(site_key, html) extraction requests — ``CONSUMERS`` per
     (wrapper, page), grouped by rendered page so the concurrent window
     covers coalescible neighbors — plus the deployed client."""
@@ -198,16 +193,16 @@ def inprocess_serving(
     )
 
 
-def bulk_extract(address, requests, wire: str) -> list:
+def bulk_extract(address, requests) -> list:
     """The whole stream as one ``/extract_many`` request."""
     host, port = address
     with RemoteWrapperClient(host, port) as remote:
-        return remote.extract_many(requests, wire=wire, concurrency=CONCURRENCY)
+        return remote.extract_many(requests, wire="bulk")
 
 
 def test_net_bench(benchmark, emit):
     n_snapshots = scale(2, 3)
-    client, artifacts, requests = build_request_stream(n_snapshots)
+    client, artifacts, requests = build_requests(n_snapshots)
 
     cpus = len(os.sched_getaffinity(0))
     # Every request its own dispatch batch: the coalescer cannot mask
@@ -218,12 +213,11 @@ def test_net_bench(benchmark, emit):
     with ServerThread(client) as server:
         # Correctness first: the concurrent stream answers exactly what
         # the serial round trips answer, request for request — and so
-        # do both bulk wire modes, slot for slot.
+        # does the bulk wire mode, slot for slot.
         expected = serial_http(server.address, requests)
         concurrent = concurrent_http(server.address, requests)
         assert concurrent == expected
-        assert bulk_extract(server.address, requests, "bulk") == expected
-        assert bulk_extract(server.address, requests, "stream") == expected
+        assert bulk_extract(server.address, requests) == expected
 
         def run_all():
             results = {
@@ -237,12 +231,6 @@ def test_net_bench(benchmark, emit):
             )
             results["concurrent8_http_s"] = timeit(
                 lambda: concurrent_http(server.address, requests)
-            )
-            results["bulk_json_s"] = timeit(
-                lambda: bulk_extract(server.address, requests, "bulk")
-            )
-            results["bulk_stream_s"] = timeit(
-                lambda: bulk_extract(server.address, requests, "stream")
             )
             results["inprocess_async8_s"] = timeit(
                 lambda: inprocess_serving(client, requests)
@@ -277,8 +265,6 @@ def test_net_bench(benchmark, emit):
         # per-metric gate_applies below).
         "cached_page_vs_cold": results["cold_cache_inprocess_s"]
         / results["warm_cache_inprocess_s"],
-        "bulk_stream_vs_json": results["bulk_json_s"]
-        / results["bulk_stream_s"],
     }
     results["remote_requests_per_sec"] = len(requests) / results["concurrent8_http_s"]
     results["inprocess_vs_remote_concurrent"] = (
@@ -289,14 +275,11 @@ def test_net_bench(benchmark, emit):
         "throughput": throughput,
         "required_speedup": REQUIRED_SPEEDUP,
         "cpus": cpus,
-        # Per-metric self-arming: the cache and streaming ratios are
-        # timer-race-sensitive on 1-CPU containers, so they only gate
-        # when both the baseline and the current run had cores to spare.
-        # The classic concurrency ratio keeps gating everywhere.
-        "gate_applies": {
-            "throughput.cached_page_vs_cold": cpus >= 2,
-            "throughput.bulk_stream_vs_json": cpus >= 2,
-        },
+        # Per-metric self-arming: the cache ratio is timer-race-sensitive
+        # on 1-CPU containers, so it only gates when both the baseline
+        # and the current run had cores to spare.  The classic
+        # concurrency ratio keeps gating everywhere.
+        "gate_applies": {"throughput.cached_page_vs_cold": cpus >= 2},
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 

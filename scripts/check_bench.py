@@ -37,12 +37,11 @@ host, where a cross-host parallelism ratio cannot materialize) the
 ratio is reported but not compared.  ``BENCH_sitegen.json`` divides
 its wall-clock generation rate by a fixed pages/sec floor, so like the
 xpath file it scales with host speed and gets the 60% band (its
-benchmark asserts the ≥ 25 pages/sec floor itself); its process-pool
-fan-out ratio self-arms per metric the same way.
+benchmark asserts the ≥ 25 pages/sec floor itself).
 ``BENCH_induction.json`` divides two same-run wall-clocks but rides
-single-process scheduler noise on a heavy workload, and its fold-pool
-ratio self-arms per metric on CPU count (the benchmark asserts the
-≥ 2× pruned-search bar itself on any host), so it gets the 35% band.
+single-process scheduler noise on a heavy workload (the benchmark
+asserts the ≥ 2× pruned-search bar itself on any host), so it gets the
+35% band.
 ``BENCH_runtime.json`` / ``BENCH_serving.json`` ratios divide two
 measurements from the same run and keep the tight default.
 

@@ -61,32 +61,6 @@ from repro.api import (
 
 __version__ = "1.4.0"
 
-#: Deprecated top-level entry points → (home module, facade replacement).
-#: They keep working — engine layers are public at their own paths — but
-#: new code should go through the facade.  Kept out of ``__all__`` so a
-#: star import stays warning-free (see repro._compat).
-_DEPRECATED = {
-    "WrapperInducer": (
-        "repro.induction.induce",
-        "repro.api.WrapperClient.induce (or repro.induction.WrapperInducer "
-        "for the engine layer)",
-    ),
-    "induce": (
-        "repro.induction.induce",
-        "repro.api.WrapperClient.induce (or repro.induction.induce "
-        "for the engine layer)",
-    ),
-}
-
-_warned_deprecations: set[str] = set()
-
-
-def __getattr__(name: str):
-    from repro._compat import deprecated_getattr
-
-    return deprecated_getattr(__name__, _DEPRECATED, _warned_deprecations, name)
-
-
 __all__ = [
     "CheckResult",
     "ClusterMap",

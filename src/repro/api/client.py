@@ -259,9 +259,8 @@ class WrapperClient:
         ``options`` tunes the induction fast path without constructing a
         config: ``search="pruned"`` (stochastic beam instead of the
         exhaustive DP), ``beam_width``/``prune_trials``/``prune_seed``,
-        ``fold_workers`` (pooled parallel folds), and ``diversity``
-        (fragile-feature-penalized ensemble selection).  Unknown keys
-        raise :class:`FacadeError`.
+        and ``diversity`` (fragile-feature-penalized ensemble
+        selection).  Unknown keys raise :class:`FacadeError`.
         """
         if mode not in ("node", "record", "ensemble"):
             raise FacadeError(f"unknown induction mode {mode!r}")
@@ -355,14 +354,13 @@ class WrapperClient:
         interchangeability with them (local extraction is synchronous —
         in-process work is CPU-bound, so threads would add nothing);
         ``wire`` likewise names the networked backends' transport modes
-        (``"pipeline"``/``"bulk"``/``"stream"``) and changes nothing
-        in process beyond being validated.
+        (``"pipeline"``/``"bulk"``).  Both are validated exactly as the
+        networked backends validate them and change nothing in process.
         """
-        if wire not in ("pipeline", "bulk", "stream"):
-            raise FacadeError(
-                f"wire must be 'pipeline', 'bulk', or 'stream' (got {wire!r})"
-            )
-        del concurrency  # tuning knob of the networked backends
+        if concurrency < 1:
+            raise FacadeError("extract_many concurrency must be >= 1")
+        if wire not in ("pipeline", "bulk"):
+            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
         results: list = [None] * len(items)
         docs: dict[str, Document] = {}
         for index, (site_key, page) in enumerate(items):

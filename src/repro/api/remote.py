@@ -143,7 +143,7 @@ def _error_for(status: int, answer: dict, retry_after_header=None) -> Exception:
     """The typed exception for one error body.
 
     Shared by ``_request`` (whole-response errors) and the bulk wire
-    modes (per-item slots carry the same ``error``/``code`` fields), so
+    mode (per-item slots carry the same ``error``/``code`` fields), so
     a failed bulk item raises exactly what the single-item verb would.
     """
     message = str(answer.get("error", f"HTTP {status}"))
@@ -339,74 +339,6 @@ class RemoteWrapperClient:
             )
         return answer
 
-    def _request_stream(self, path: str, payload: dict) -> list:
-        """POST expecting length-prefixed NDJSON frames; the slot list.
-
-        Sends ``Accept: application/x-ndjson`` and parses the streamed
-        answer frame by frame (``<decimal length>\\n<slot JSON>\\n`` per
-        slot, ``0\\n`` terminator).  A server that answers plain JSON
-        anyway (one predating the streaming mode) degrades gracefully:
-        its ``results`` list is returned unchanged.  The server closes
-        the connection after a stream, so this client's keep-alive
-        socket is dropped too.
-        """
-        body = json.dumps(payload).encode("utf-8")
-        headers = {
-            "Content-Type": "application/json",
-            "Accept": "application/x-ndjson",
-        }
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            conn = self._connection()
-            try:
-                conn.request("POST", path, body=body, headers=headers)
-                response = conn.getresponse()
-                if "x-ndjson" not in (response.getheader("Content-Type") or ""):
-                    data = response.read()
-                    try:
-                        answer = json.loads(data.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise FacadeError(
-                            "server returned non-JSON response "
-                            f"(status {response.status}): {exc}"
-                        ) from exc
-                    if response.status >= 400:
-                        raise _error_for(
-                            response.status, answer,
-                            response.getheader("Retry-After"),
-                        )
-                    return list(answer.get("results", ()))
-                slots: list = []
-                while True:
-                    prefix = response.readline()
-                    if not prefix:
-                        raise FacadeError(
-                            "bulk stream ended without its terminator frame"
-                        )
-                    try:
-                        length = int(prefix.strip())
-                    except ValueError:
-                        raise FacadeError(
-                            f"malformed bulk stream frame prefix {prefix!r}"
-                        ) from None
-                    if length == 0:
-                        return slots
-                    frame = response.read(length)
-                    if len(frame) != length:
-                        raise FacadeError("truncated bulk stream frame")
-                    try:
-                        slots.append(json.loads(frame.decode("utf-8")))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise FacadeError(
-                            f"bulk stream frame is not valid JSON: {exc}"
-                        ) from exc
-            finally:
-                self.close()
-        except (ConnectionError, http.client.HTTPException, OSError) as exc:
-            self.close()
-            raise self._transport_error("POST", path, exc) from exc
-
     def _qualify(self, site_key: str) -> str:
         # Same surface as the local client: a cross-tenant or malformed
         # key is a FacadeError, whichever backend sees it first.
@@ -504,21 +436,13 @@ class RemoteWrapperClient:
           JSON request; per-item failures come back as slots carrying
           the same ``error``/``code`` fields, raised as the same typed
           exceptions.
-        * ``"stream"`` — one ``POST /extract_many`` negotiated to the
-          length-prefixed NDJSON answer (``Accept:
-          application/x-ndjson``); slots arrive as the server finishes
-          each item instead of after the whole batch serializes.
         """
         if concurrency < 1:
             raise FacadeError("extract_many concurrency must be >= 1")
-        if wire not in ("pipeline", "bulk", "stream"):
-            raise FacadeError(
-                f"wire must be 'pipeline', 'bulk', or 'stream' (got {wire!r})"
-            )
-        if wire != "pipeline":
-            return self._extract_many_bulk(
-                list(items), return_errors, stream=(wire == "stream")
-            )
+        if wire not in ("pipeline", "bulk"):
+            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
+        if wire == "bulk":
+            return self._extract_many_bulk(list(items), return_errors)
         results: list = [None] * len(items)
         if not items:
             return results
@@ -564,10 +488,8 @@ class RemoteWrapperClient:
                     raise result
         return results
 
-    def _extract_many_bulk(
-        self, items: list, return_errors: bool, stream: bool
-    ) -> list:
-        """The single-request wire modes behind :meth:`extract_many`."""
+    def _extract_many_bulk(self, items: list, return_errors: bool) -> list:
+        """The single-request wire mode behind :meth:`extract_many`."""
         results: list = [None] * len(items)
         wire_items: list[dict] = []
         indexes: list[int] = []
@@ -582,13 +504,8 @@ class RemoteWrapperClient:
                 # exactly as the pipelined mode's per-item extract does.
                 results[index] = exc
         if wire_items:
-            if stream:
-                slots = self._request_stream("/extract_many", {"items": wire_items})
-            else:
-                answer = self._request(
-                    "POST", "/extract_many", {"items": wire_items}
-                )
-                slots = list(answer.get("results", ()))
+            answer = self._request("POST", "/extract_many", {"items": wire_items})
+            slots = list(answer.get("results", ()))
             if len(slots) != len(wire_items):
                 raise FacadeError(
                     f"server answered {len(slots)} slot(s) for "

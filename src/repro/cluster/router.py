@@ -676,10 +676,9 @@ class RouterClient:
         :meth:`RemoteWrapperClient.extract_many` pipeline (depth
         ``concurrency``) while the other hosts' slices run in parallel.
         ``wire`` is handed through to each host's client unchanged —
-        ``"bulk"``/``"stream"`` send one ``/extract_many`` request per
-        host instead of one ``/extract`` per item (streamed slots with
-        ``"stream"``); failover and per-item error semantics are
-        identical in every mode.
+        ``"bulk"`` sends one ``/extract_many`` request per host instead
+        of one ``/extract`` per item; failover and per-item error
+        semantics are identical in both modes.
         An item whose host fails mid-batch is re-queued against its
         next replica in the following round (with jittered backoff), so
         a host dying under a batch costs a retry — not the batch.
@@ -691,10 +690,8 @@ class RouterClient:
         """
         if concurrency < 1:
             raise FacadeError("extract_many concurrency must be >= 1")
-        if wire not in ("pipeline", "bulk", "stream"):
-            raise FacadeError(
-                f"wire must be 'pipeline', 'bulk', or 'stream' (got {wire!r})"
-            )
+        if wire not in ("pipeline", "bulk"):
+            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
         results: list = [None] * len(items)
         qualified: dict[int, str] = {}
         pending: list[int] = []

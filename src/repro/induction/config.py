@@ -26,21 +26,19 @@ OPTION_FIELDS = frozenset(
         "beam_width",
         "prune_trials",
         "prune_seed",
-        "fold_workers",
         "diversity",
     }
 )
 
 #: Expected value type per option — checked before ``replace`` so that
-#: malformed wire input (``beam_width=2.5``, ``fold_workers="4"``) fails
+#: malformed wire input (``beam_width=2.5``, ``prune_trials="4"``) fails
 #: here as a ValueError (→ FacadeError → 422 on the wire) instead of
-#: surfacing later as an opaque 500 deep inside the pruner or the pool.
+#: surfacing later as an opaque 500 deep inside the pruner.
 _OPTION_TYPES: dict[str, tuple] = {
     "search": (str,),
     "beam_width": (int,),
     "prune_trials": (int,),
     "prune_seed": (int,),
-    "fold_workers": (int,),
     "diversity": (int, float),
 }
 
@@ -92,12 +90,6 @@ class InductionConfig:
     #: same document, same beam → identical induction output).
     prune_seed: int = 0
 
-    #: Fan per-sample induction folds and the multi-sample aggregation
-    #: out over the shared persistent process pool
-    #: (:mod:`repro.induction.parallel`).  0/1 = serial (the default);
-    #: results are identical either way, only wall-clock changes.
-    fold_workers: int = 0
-
     #: Ensemble selection: penalty weight for committee members sharing
     #: a fragile feature class (``ensemble.fragile_signature``).  0.0
     #: keeps the accuracy-first selection; > 0 trades that many ranks of
@@ -146,7 +138,5 @@ class InductionConfig:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         if self.prune_trials < 1:
             raise ValueError(f"prune_trials must be >= 1, got {self.prune_trials}")
-        if self.fold_workers < 0:
-            raise ValueError(f"fold_workers must be >= 0, got {self.fold_workers}")
         if self.diversity < 0:
             raise ValueError(f"diversity must be >= 0, got {self.diversity}")

@@ -44,8 +44,6 @@ class InductionStats:
     search: str = "exhaustive"
     #: Samples (folds) induced.
     folds: int = 0
-    #: Whether the folds ran on the shared induction pool.
-    pooled: bool = False
     #: Candidates seen at DP positions where pruning was attempted.
     candidates_considered: int = 0
     #: Candidates the stochastic beam dropped before full DP scoring.
@@ -55,7 +53,6 @@ class InductionStats:
         return {
             "search": self.search,
             "folds": self.folds,
-            "pooled": self.pooled,
             "candidates_considered": self.candidates_considered,
             "candidates_pruned": self.candidates_pruned,
         }
@@ -207,14 +204,6 @@ def induce(
     config = config or InductionConfig()
     params = params or ScoringParams()
     stats = InductionStats(search=config.search, folds=len(samples))
-
-    if config.fold_workers >= 2 and len(samples) > 1:
-        from repro.induction.parallel import induce_pooled
-
-        pooled = induce_pooled(samples, config, params, stats)
-        if pooled is not None:
-            return pooled
-
     per_sample = [
         _induce_sample(sample, config, params, stats) for sample in samples
     ]

@@ -95,27 +95,13 @@ from repro.runtime.store import (
 #: which imports runtime submodules — an eager import here would cycle.
 _NET_EXPORTS = ("NetConfig", "WrapperHTTPServer", "serve_http")
 
-#: Deprecated package-level shims → their facade replacements (kept out
-#: of ``__all__`` so star imports stay warning-free; see repro._compat).
-_DEPRECATED = {
-    "BatchExtractor": (
-        "repro.runtime.extractor",
-        "repro.api.WrapperClient.extract (or repro.runtime.extractor.BatchExtractor "
-        "for the low-level batch engine)",
-    ),
-}
-
-_warned_deprecations: set[str] = set()
-
 
 def __getattr__(name: str):
     if name in _NET_EXPORTS:
         from repro.runtime import net
 
         return getattr(net, name)
-    from repro._compat import deprecated_getattr
-
-    return deprecated_getattr(__name__, _DEPRECATED, _warned_deprecations, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -182,8 +182,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     pairs = sum(len(job.wrappers) for job in jobs)
     started = time.perf_counter()
-    with BatchExtractor(workers=args.workers, persistent=True) as extractor:
-        records = extractor.extract(jobs)
+    records = BatchExtractor(workers=args.workers).extract(jobs)
     elapsed = time.perf_counter() - started
 
     empty = sum(record.is_empty for record in records)
@@ -371,7 +370,6 @@ def cmd_serve_listen(args: argparse.Namespace) -> int:
         epoch = client.store.epoch if client.store is not None else 0
     config = NetConfig(
         serving=ServingConfig(
-            workers=args.workers,
             max_pending=args.max_pending,
             per_site_limit=args.per_site_limit,
         ),
@@ -469,7 +467,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
 
     config = ServingConfig(
-        workers=args.workers,
         max_pending=args.max_pending,
         per_site_limit=args.per_site_limit,
     )
@@ -484,7 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"{empty} empty results"
     )
     print(
-        f"concurrency {args.concurrency}, {args.workers} worker(s): "
+        f"concurrency {args.concurrency}: "
         f"{elapsed:.2f}s = {len(requests) / elapsed:.0f} requests/s "
         f"(peak pending {stats.peak_pending}, "
         f"peak per-site in-flight {stats.peak_site_inflight})"
@@ -763,7 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument("--snapshot", type=int, default=0, help="archive snapshot index")
-    serve.add_argument("--workers", type=int, default=1, help="execution pool size")
     serve.add_argument("--concurrency", type=int, default=8, help="client concurrency")
     serve.add_argument("--max-pending", type=int, default=64, help="admission queue bound")
     serve.add_argument("--per-site-limit", type=int, default=8)

@@ -8,16 +8,20 @@ runs multiple extraction tasks, and every artifact carries an ensemble —
 that loop re-pays the dominant cost per *pair*.
 
 :class:`BatchExtractor` groups the pairs by page: one parse + one
-document index + one :class:`~repro.xpath.cache.CachedEvaluator` per
-page, all queries evaluated against it through the globally memoized
-text-plan cache (:func:`repro.xpath.compile.compile_text`, shared
-across pages since plans are document independent) — or through plans
-an artifact pre-compiled at load time (``plans=`` on
-:func:`extract_document`).  With ``workers >
-1`` page groups fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`;
-jobs and records are plain picklable values (HTML text in, canonical
-paths + normalized text out), so nothing heavier than strings crosses
-process boundaries.
+document index per page, all queries evaluated against it through the
+globally memoized text-plan cache
+(:func:`repro.xpath.compile.compile_text`, shared across pages since
+plans are document independent) — or through plans an artifact
+pre-compiled at load time (``plans=`` on
+:func:`extract_document`).  With ``workers > 1`` page groups fan out
+over a :class:`~concurrent.futures.ProcessPoolExecutor`; jobs and
+records are plain picklable values (HTML text in, canonical paths +
+normalized text out), so nothing heavier than strings crosses process
+boundaries.
+
+:func:`extract_pages` is the one per-page kernel: the batch engine runs
+it in process and in its pool workers, and the serving layer
+(:mod:`repro.runtime.serve`) runs it on its thread with a parse cache.
 
 ``benchmarks/bench_runtime.py`` records the speedup over the serial
 loop on the full corpus in ``BENCH_runtime.json``.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.dom.node import AttributeNode, Document, Node
 from repro.dom.parser import parse_html
@@ -37,6 +41,7 @@ from repro.xpath.compile import CompiledQuery, compile_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.artifact import WrapperArtifact
+    from repro.runtime.serve import ParseCache
 
 
 @dataclass(frozen=True)
@@ -129,78 +134,86 @@ def extract_serial(jobs: Iterable[PageJob]) -> list[ExtractionRecord]:
     return records
 
 
-def _extract_chunk(chunk: list[tuple[str, str, tuple[tuple[str, str], ...]]]) -> list[tuple]:
-    """Worker: parse each page once, run all its wrappers (picklable I/O)."""
-    out: list[tuple] = []
-    for page_id, html, wrappers in chunk:
-        doc = parse_html(html)
-        for record in extract_document(doc, wrappers, page_id):
-            out.append((record.page_id, record.wrapper_id, record.paths, record.values))
-    return out
+#: One page's answer from :func:`extract_pages`: the exception that kept
+#: the page from parsing, or one slot per wrapper — its record, or the
+#: exception that wrapper raised.
+PageSlots = Union[Exception, list[Union[ExtractionRecord, Exception]]]
+
+
+def extract_pages(
+    pages: Sequence[tuple[str, str, Sequence[tuple[str, str]]]],
+    cache: Optional["ParseCache"] = None,
+) -> tuple[list[PageSlots], dict[str, int]]:
+    """The per-page kernel: parse each ``(page_id, html, wrappers)``
+    page once, then run each wrapper through :func:`extract_document`
+    on its own, so a failing wrapper fails only its own slot.
+
+    ``cache`` is the serving layer's :class:`~repro.runtime.serve.ParseCache`;
+    without one every page is parsed.  Returns one :data:`PageSlots` per
+    page, in order, and the parse counts: ``parsed`` (parses performed),
+    ``cache_hits`` (parses the cache absorbed), ``cache_evictions``.
+    Arguments and results pickle, so pool workers run it as well.
+    """
+    out: list[PageSlots] = []
+    stats = {"parsed": 0, "cache_hits": 0, "cache_evictions": 0}
+    for page_id, html, wrappers in pages:
+        doc = cache.get(html) if cache is not None else None
+        if doc is None:
+            try:
+                doc = parse_html(html)
+            except Exception as exc:  # noqa: BLE001 - reported per page
+                out.append(exc)
+                continue
+            stats["parsed"] += 1
+            if cache is not None:
+                stats["cache_evictions"] += cache.put(html, doc)
+        else:
+            stats["cache_hits"] += 1
+        slots: list[Union[ExtractionRecord, Exception]] = []
+        for wrapper in wrappers:
+            try:
+                slots.extend(extract_document(doc, [wrapper], page_id))
+            except Exception as exc:  # noqa: BLE001 - reported per wrapper
+                slots.append(exc)
+        out.append(slots)
+    return out, stats
 
 
 class BatchExtractor:
     """Evaluate many (wrapper, page) pairs with per-page amortization.
 
     ``workers=1`` runs in-process; ``workers>1`` splits the page list
-    into contiguous chunks and fans them out over a process pool.
-    Record order always matches the job order (per page, wrappers in
-    job order), so callers can zip results against their inputs.
-
-    By default each :meth:`extract` call spins up (and tears down) its
-    own pool — fine for one-shot batches.  Callers making repeated
-    ``extract()`` calls (the CLI does; the serving layer manages its own
-    executor so it can await futures) can opt into ``persistent=True``
-    and the context-manager protocol: the pool outlives calls, so
-    process spawn cost is paid once::
-
-        with BatchExtractor(workers=4, persistent=True) as extractor:
-            for jobs in job_batches:
-                extractor.extract(jobs)
+    into contiguous chunks and fans them out over a process pool that
+    lives for one :meth:`extract` call.  Record order always matches
+    the job order (per page, wrappers in job order), so callers can zip
+    results against their inputs.  A page that fails to parse, or a
+    wrapper that fails to evaluate, raises its original exception.
     """
 
-    def __init__(self, workers: int = 1, persistent: bool = False) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "BatchExtractor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut down the persistent pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
 
     def extract(self, jobs: Sequence[PageJob]) -> list[ExtractionRecord]:
         payload = [(job.page_id, job.html, job.wrappers) for job in jobs]
-        if self.workers == 1 or len(jobs) < 2:
-            raw = _extract_chunk(payload)
+        if self.workers == 1 or len(payload) < 2:
+            pages, _ = extract_pages(payload)
         else:
             chunks = self._chunk(payload, min(self.workers, len(payload)))
-            if self.persistent:
-                pool = self._ensure_pool()
-                raw = [row for part in pool.map(_extract_chunk, chunks) for row in part]
-            else:
-                with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                    raw = [
-                        row for part in pool.map(_extract_chunk, chunks) for row in part
-                    ]
-        return [
-            ExtractionRecord(page_id=p, wrapper_id=w, paths=paths, values=values)
-            for p, w, paths, values in raw
-        ]
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                pages = [
+                    page for part, _ in pool.map(extract_pages, chunks) for page in part
+                ]
+        records: list[ExtractionRecord] = []
+        for page in pages:
+            if isinstance(page, Exception):
+                raise page
+            for slot in page:
+                if isinstance(slot, Exception):
+                    raise slot
+                records.append(slot)
+        return records
 
     @staticmethod
     def _chunk(payload: list, n: int) -> list[list]:

@@ -25,23 +25,14 @@ endpoint       method  body                                        returns
 /deploy        POST    artifact (WrapperArtifact payload)          handle
 =============  ======  ==========================================  =========
 
-``/extract_many`` answers in one of two wire modes, negotiated via the
-request's ``Accept`` header.  The default (any ``Accept``) is a single
-JSON object ``{"results": [slot, ...]}`` in item order, where each slot
-is ``{"status": 200, "result": <extraction payload>}`` on success or
-``{"status": S, "error": ..., "code": ...}`` on a per-item failure —
+``/extract_many`` answers one JSON object ``{"results": [slot, ...]}``
+in item order, whatever the request's ``Accept`` header says.  Each
+slot is ``{"status": 200, "result": <extraction payload>}`` on success
+or ``{"status": S, "error": ..., "code": ...}`` on a per-item failure —
 the inner payloads are byte-identical to ``/extract`` responses, which
-keeps every remote/router backend parity-exact.  With ``Accept:
-application/x-ndjson`` the response streams length-prefixed NDJSON
-frames instead (``Content-Type: application/x-ndjson``, ``Connection:
-close``, no ``Content-Length``): each slot is one frame of the form
-``<decimal byte length>\\n<slot JSON><newline>`` where the declared
-length covers the JSON line *including* its trailing newline, and the
-stream ends with a lone ``0\\n`` terminator.  Slots stream in item order
-as they complete, so a bulk caller starts consuming results before the
-last page is extracted.  Per-item gates (403/404/421/422/429) fail the
-*slot*, never the batch; only authentication (401) rejects the whole
-request.
+keeps every remote/router backend parity-exact.  Per-item gates
+(403/404/421/422/429) fail the *slot*, never the batch; only
+authentication (401) rejects the whole request.
 
 Traffic hardening (ROADMAP's "safe to point the internet at", all
 **off by default** — a no-auth launch behaves exactly as before):
@@ -84,9 +75,10 @@ oversized body → 413 (bounded by ``NetConfig.max_body_bytes`` *before*
 the body is read), a key placing into a shard this host does not own →
 421 with code ``shard_not_owned`` (cluster members launched with
 ``--own-shards``; the body names the wanted shard and the owned
-group), a client disconnecting mid-request just ends its connection —
-the server and every other connection keep serving.  Error bodies are
-``{"error": message, "code": code, ...}``.
+group), a ``/deploy`` artifact whose config exceeds the ``/induce``
+option ceilings → 422, a client disconnecting mid-request just ends
+its connection — the server and every other connection keep serving.
+Error bodies are ``{"error": message, "code": code, ...}``.
 """
 
 from __future__ import annotations
@@ -95,7 +87,6 @@ import asyncio
 import http.client
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -234,17 +225,6 @@ class _HTTPError(Exception):
 
     def payload(self) -> dict:
         return {"error": self.message, "code": self.code, **self.extra}
-
-
-class _NDJSONStream:
-    """Internal: a streamed ``/extract_many`` answer.
-
-    Wraps the ordered per-item tasks; the connection handler writes one
-    length-prefixed frame per completed slot instead of a JSON body.
-    """
-
-    def __init__(self, tasks: list) -> None:
-        self.tasks = tasks
 
 
 class WrapperHTTPServer:
@@ -577,12 +557,6 @@ class WrapperHTTPServer:
                     if self._inflight is not None and "inflight" in ctx:
                         self._inflight.leave(ctx["inflight"])
                 self._observe(ctx, status, started)
-                if isinstance(payload, _NDJSONStream):
-                    # Streamed bulk answer: frames instead of a body, and
-                    # the connection closes (there is no Content-Length
-                    # for the peer to resynchronize on).
-                    await self._write_stream(writer, status, payload)
-                    break
                 await self._write_response(
                     writer, status, payload, close, headers=extra_headers
                 )
@@ -684,37 +658,6 @@ class WrapperHTTPServer:
         writer.write(head + body)
         await writer.drain()
 
-    async def _write_stream(
-        self, writer: asyncio.StreamWriter, status: int, stream: _NDJSONStream
-    ) -> None:
-        """Write a streamed bulk answer: length-prefixed NDJSON frames.
-
-        Each frame is ``<decimal byte length>\\n<slot JSON>\\n`` (the
-        length covers the JSON line including its newline); a lone
-        ``0\\n`` terminates the stream.  Slots are awaited in item order,
-        so frames hit the wire as soon as their item completes without
-        reordering.  A peer that vanishes mid-stream cancels the
-        remaining items.
-        """
-        head = (
-            f"HTTP/1.1 {status} {_reason(status)}\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head)
-        try:
-            for task in stream.tasks:
-                slot = await task
-                line = (json.dumps(slot) + "\n").encode("utf-8")
-                writer.write(b"%d\n" % len(line) + line)
-                await writer.drain()
-            writer.write(b"0\n")
-            await writer.drain()
-        finally:
-            for task in stream.tasks:
-                task.cancel()
-
     # -- dispatch -----------------------------------------------------------
 
     async def _dispatch(
@@ -789,10 +732,7 @@ class WrapperHTTPServer:
                 self._json(body), principal, ctx, check_only=True
             )
         if path == "/extract_many" and method == "POST":
-            return await self._op_extract_many(
-                self._json(body), principal, ctx,
-                stream="application/x-ndjson" in headers.get("accept", ""),
-            )
+            return await self._op_extract_many(self._json(body), principal, ctx)
         if path == "/repair" and method == "POST":
             return await self._op_repair(self._json(body), principal, ctx)
         if path == "/deploy" and method == "POST":
@@ -886,14 +826,13 @@ class WrapperHTTPServer:
             )
             ctx["induce_ms"] = elapsed_ms
 
-    #: Ceilings clamped onto client-supplied ``/induce`` options.  The
-    #: listen surface serves untrusted clients (the PR 7 hardening), so
-    #: config knobs that drive server-side resource allocation must not
-    #: be attacker-chosen: ``fold_workers`` sizes a persistent process
-    #: pool and is clamped to the machine's CPU count, and the pruned-
-    #: search work knobs are bounded to sane widths.  Non-integer values
-    #: pass through untouched and are rejected with a 422 by
-    #: ``config_with_options``'s type validation.
+    #: Ceilings on the pruned-search work knobs.  The listen surface
+    #: serves untrusted clients, and a repair's cost grows linearly in
+    #: these, so neither endpoint that sets them lets a client choose
+    #: them freely: ``/induce`` clamps its options onto them, and
+    #: ``/deploy`` rejects an artifact whose config exceeds them.
+    #: Non-integer ``/induce`` values pass through untouched and are
+    #: rejected with a 422 by ``config_with_options``'s type validation.
     _WIRE_OPTION_CEILINGS = {
         "beam_width": 64,
         "prune_trials": 32,
@@ -904,15 +843,31 @@ class WrapperHTTPServer:
         if not options:
             return options
         options = dict(options)
-        ceilings = dict(cls._WIRE_OPTION_CEILINGS)
-        ceilings["fold_workers"] = os.cpu_count() or 1
-        for key, ceiling in ceilings.items():
+        for key, ceiling in cls._WIRE_OPTION_CEILINGS.items():
             value = options.get(key)
             if isinstance(value, int) and not isinstance(value, bool):
                 # Negative values stay as-is: config validation rejects
                 # them with its own (422) message.
                 options[key] = min(value, ceiling)
         return options
+
+    @classmethod
+    def _check_deploy_config(cls, artifact) -> None:
+        """422 unless the artifact's config builds and stays within
+        :attr:`_WIRE_OPTION_CEILINGS`.  Rejected, not clamped: a repair
+        re-induces under exactly the config that was deployed."""
+        try:
+            config = artifact.induction_config()
+        except (TypeError, ValueError) as exc:
+            raise _HTTPError(422, f"artifact config is invalid: {exc}") from None
+        for key, ceiling in cls._WIRE_OPTION_CEILINGS.items():
+            value = getattr(config, key)
+            if value > ceiling:
+                raise _HTTPError(
+                    422,
+                    f"artifact config {key}={value} exceeds the ceiling "
+                    f"of {ceiling}",
+                )
 
     async def _op_induce(self, payload: dict, principal: Optional[str], ctx: dict):
         site_key = self._field(payload, "site_key")
@@ -980,11 +935,7 @@ class WrapperHTTPServer:
         ).to_payload()
 
     async def _op_extract_many(
-        self,
-        payload: dict,
-        principal: Optional[str],
-        ctx: dict,
-        stream: bool,
+        self, payload: dict, principal: Optional[str], ctx: dict
     ):
         """Bulk extraction: one request, per-item result slots.
 
@@ -1038,10 +989,7 @@ class WrapperHTTPServer:
                 ctx["coalesced"] = True
             return slot
 
-        tasks = [asyncio.ensure_future(one(item)) for item in items]
-        if stream:
-            return 200, _NDJSONStream(tasks)
-        return 200, {"results": list(await asyncio.gather(*tasks))}
+        return 200, {"results": list(await asyncio.gather(*map(one, items)))}
 
     async def _op_deploy(self, payload: dict, principal: Optional[str], ctx: dict):
         raw = payload.get("artifact")
@@ -1060,6 +1008,7 @@ class WrapperHTTPServer:
 
             artifact = WrapperArtifact.from_payload(raw)
             self._check_owned(artifact.task_id)
+            self._check_deploy_config(artifact)
             return self.client.deploy(artifact).to_payload()
 
         return 200, await self._in_executor(op)

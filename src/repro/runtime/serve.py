@@ -26,16 +26,14 @@ request/response front-end:
   window; a :class:`ParseCache` (content-hash-keyed, byte-budget
   LRU) carries parsed documents *across* requests and batches, so the
   production-common case — a repeated page hitting a warm server —
-  skips parsing entirely.  Thread mode only; see the class docstring
-  for the invalidation contract and :func:`_serve_chunk` for why
-  process pools run uncached;
-* **execution** — merged page groups run through :func:`_serve_chunk`
-  (the batch engine's per-page loop with per-wrapper failure isolation:
-  a malformed query fails only the requests that sent it, as a
-  :class:`RequestError`), on a *persistent* pool (``workers=1``: an
-  in-process thread, zero pickling; ``workers>1``: a
-  ``ProcessPoolExecutor`` that outlives requests, unlike
-  ``BatchExtractor.extract``'s per-call pool).
+  skips parsing entirely.  See the class docstring for the
+  invalidation contract;
+* **execution** — merged page groups run through the batch engine's
+  per-page kernel (:func:`~repro.runtime.extractor.extract_pages`,
+  which isolates failures per wrapper: a malformed query fails only
+  the requests that sent it, as a :class:`RequestError`) on one
+  in-process thread that outlives requests — no pickling, and the
+  parse cache's documents stay usable.
 
 ``benchmarks/bench_serving.py`` measures the result on the full corpus
 and writes ``BENCH_serving.json``: at client concurrency 8 the server
@@ -49,13 +47,12 @@ import asyncio
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.dom.node import Document
-from repro.dom.parser import parse_html
-from repro.runtime.extractor import ExtractionRecord, PageJob, extract_document
+from repro.runtime.extractor import ExtractionRecord, PageJob, extract_pages
 
 
 class RequestError(RuntimeError):
@@ -168,65 +165,6 @@ class ParseCache:
             )
 
 
-def _serve_chunk(payload: list, cache: Optional[ParseCache] = None) -> tuple[list, dict]:
-    """Worker: like ``extractor._extract_chunk`` but with per-wrapper
-    failure isolation — a malformed query must fail only the requests
-    that sent it, so each result slot is ``("ok", row)`` or
-    ``("err", message)`` (strings, so process pools pickle cleanly).
-
-    ``cache`` is the server-owned :class:`ParseCache` in thread mode;
-    process-pool workers run uncached (``cache=None``): documents
-    cannot ride the pickle boundary, and a per-worker cache measurably
-    *slows* the pool — a retained 16 MiB of cyclic document graphs
-    makes every gen-2 GC pass in the worker expensive, the same
-    degradation the stamp-keyed engine memos hit before they were
-    moved onto ``DocumentIndex``.  The second return value reports
-    parse accounting for this chunk — ``parsed`` (parses performed),
-    ``cache_hits`` (parses the cache absorbed), ``cache_evictions``.
-    """
-    out: list[list] = []
-    stats = {"parsed": 0, "cache_hits": 0, "cache_evictions": 0}
-    for page_id, html, wrappers in payload:
-        doc = cache.get(html) if cache is not None else None
-        if doc is None:
-            try:
-                doc = parse_html(html)
-            except Exception as exc:
-                out.append(
-                    [("err", f"page {page_id!r} failed to parse: {exc}")] * len(wrappers)
-                )
-                continue
-            stats["parsed"] += 1
-            if cache is not None:
-                stats["cache_evictions"] += cache.put(html, doc)
-        else:
-            stats["cache_hits"] += 1
-        rows: list = []
-        for wrapper_id, text in wrappers:
-            try:
-                (record,) = extract_document(doc, [(wrapper_id, text)], page_id)
-                rows.append(
-                    ("ok", (record.page_id, record.wrapper_id, record.paths, record.values))
-                )
-            except Exception as exc:
-                rows.append(("err", f"wrapper {wrapper_id!r}: {exc}"))
-        out.append(rows)
-    return out, stats
-
-
-def _chunk_payload(payload: list, n: int) -> list[list]:
-    """Contiguous near-even payload split (preserves page order, so the
-    concatenated results demultiplex positionally)."""
-    size, extra = divmod(len(payload), n)
-    parts, start = [], 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        if end > start:
-            parts.append(payload[start:end])
-        start = end
-    return parts
-
-
 def default_site_key(job: PageJob) -> str:
     """Site key of a request for per-site limits.
 
@@ -241,28 +179,20 @@ def default_site_key(job: PageJob) -> str:
 class ServingConfig:
     """Knobs for the serving layer.
 
-    ``workers`` sizes the execution pool (1 = in-process thread, no
-    pickling; >1 = persistent process pool).  ``max_pending`` bounds the
-    admission queue — when full, ``extract()`` awaits instead of
-    buffering without limit.  ``per_site_limit`` caps in-flight requests
-    per site key.  ``max_batch_pages`` caps how many queued requests one
-    dispatch drains into a single batch.  ``parse_cache_bytes`` is the
-    byte budget of the cross-request :class:`ParseCache` (0 disables
-    it); the cache is a thread-mode (``workers=1``, the default)
-    feature — process pools run uncached, because a per-worker cache
-    of cyclic document graphs degrades worker GC more than the saved
-    parses are worth (see :func:`_serve_chunk`).
+    ``max_pending`` bounds the admission queue — when full,
+    ``extract()`` awaits instead of buffering without limit.
+    ``per_site_limit`` caps in-flight requests per site key.
+    ``max_batch_pages`` caps how many queued requests one dispatch
+    drains into a single batch.  ``parse_cache_bytes`` is the byte
+    budget of the cross-request :class:`ParseCache` (0 disables it).
     """
 
-    workers: int = 1
     max_pending: int = 64
     per_site_limit: int = 8
     max_batch_pages: int = 16
     parse_cache_bytes: int = 16 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.per_site_limit < 1:
@@ -315,16 +245,16 @@ class _Pending:
 
 
 class AsyncExtractionServer:
-    """Request/response extraction over a shared, bounded worker pool.
+    """Request/response extraction over one shared, bounded worker thread.
 
     Use as an async context manager::
 
-        async with AsyncExtractionServer(ServingConfig(workers=4)) as server:
+        async with AsyncExtractionServer(ServingConfig()) as server:
             records = await server.extract(job)           # one request
             all_records = await server.extract_many(jobs) # a stream
 
     The server must be started from within a running event loop; the
-    dispatcher task and the execution pool live until ``aclose()``.
+    dispatcher task and the worker thread live until ``aclose()``.
     """
 
     def __init__(
@@ -335,12 +265,11 @@ class AsyncExtractionServer:
         self.config = config or ServingConfig()
         self.site_key = site_key
         self.stats = ServerStats()
-        #: The cross-request page cache (thread mode; ``None`` when
-        #: disabled or in process mode, where workers keep their own).
+        #: The cross-request page cache (``None`` when disabled).
         self.parse_cache: Optional[ParseCache] = None
         self._queue: Optional[asyncio.Queue[_Pending]] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._site_sems: dict[str, asyncio.Semaphore] = {}
         self._site_inflight: dict[str, int] = {}
         self._closed = False
@@ -360,24 +289,13 @@ class AsyncExtractionServer:
         if self._closed:
             raise RuntimeError("server already closed")
         self._queue = asyncio.Queue(maxsize=self.config.max_pending)
-        if self.config.workers == 1:
-            # One thread keeps the event loop responsive without paying
-            # pickling/IPC for the HTML payloads.
-            if self.config.parse_cache_bytes > 0:
-                self.parse_cache = ParseCache(self.config.parse_cache_bytes)
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve"
-            )
-        else:
-            # No parse cache in process mode: documents cannot cross
-            # the pickle boundary, and a per-worker cache is a net
-            # loss — retained cyclic document graphs turn every gen-2
-            # GC pass in the worker into a full scan of the cache
-            # (~1.6x slower on the serving benchmark).  Process pools
-            # rely on batch coalescing alone.
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-            )
+        if self.config.parse_cache_bytes > 0:
+            self.parse_cache = ParseCache(self.config.parse_cache_bytes)
+        # One worker thread keeps the event loop responsive, and the
+        # parse cache's documents are usable from it without pickling.
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve"
+        )
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
@@ -424,8 +342,7 @@ class AsyncExtractionServer:
     def parse_cache_info(self) -> ParseCacheInfo:
         """Parse-cache counters — scraped by ``GET /metrics``.
 
-        Thread mode reports the shared cache directly.  Process mode
-        and the disabled cache (both run uncached) report the
+        An enabled cache reports itself.  A disabled cache reports the
         dispatcher's aggregate counters with zero entries/bytes and
         ``capacity_bytes`` 0.
         """
@@ -537,34 +454,13 @@ class AsyncExtractionServer:
 
         loop = asyncio.get_running_loop()
         try:
-            if self.config.workers > 1 and len(payload) > 1:
-                # Spread the merged pages over the pool — a single
-                # submit would serialize the whole batch through one
-                # worker and leave the rest idle.
-                parts = _chunk_payload(
-                    payload, min(self.config.workers, len(payload))
-                )
-                answers = await asyncio.gather(
-                    *(
-                        loop.run_in_executor(self._executor, _serve_chunk, part)
-                        for part in parts
-                    )
-                )
-                raw = [rows for part, _ in answers for rows in part]
-                chunk_stats = [stats for _, stats in answers]
-            else:
-                raw, stats = await loop.run_in_executor(
-                    self._executor, _serve_chunk, payload, self.parse_cache
-                )
-                chunk_stats = [stats]
-            for stats in chunk_stats:
-                self.stats.pages_parsed += stats["parsed"]
-                self.stats.parse_cache_hits += stats["cache_hits"]
-                self.stats.parses_avoided += stats["cache_hits"]
-                self.stats.parse_cache_evictions += stats["cache_evictions"]
+            pages, stats = await loop.run_in_executor(
+                self._executor, extract_pages, payload, self.parse_cache
+            )
         except BaseException as exc:
-            # Only infrastructure failures (broken pool, cancellation)
-            # reach here — per-request errors come back as "err" slots.
+            # Only infrastructure failures (cancellation, a closed
+            # executor) reach here — per-request errors come back as
+            # exceptions in the kernel's slots.
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(
@@ -573,28 +469,29 @@ class AsyncExtractionServer:
             if isinstance(exc, asyncio.CancelledError):
                 raise
             return
+        self.stats.pages_parsed += stats["parsed"]
+        self.stats.parse_cache_hits += stats["cache_hits"]
+        self.stats.parses_avoided += stats["cache_hits"]
+        self.stats.parse_cache_evictions += stats["cache_evictions"]
 
-        # Demultiplex: slots come back grouped per payload page in
-        # merged wrapper order; index them by (page key, merged
-        # position).  A slot is ("ok", row) or ("err", message).
-        slots: dict[tuple[tuple[str, str], int], tuple[str, object]] = {}
-        for ((page_id, html), merged), page_rows in zip(groups.items(), raw):
-            for position, slot in enumerate(page_rows):
-                slots[((page_id, html), position)] = slot
+        # Demultiplex: the kernel answers per payload page, with one slot
+        # per merged wrapper; index them by (page key, merged position).
+        # A slot is a record or the error message its requests fail with.
+        slots: dict[tuple[tuple[str, str], int], Union[ExtractionRecord, str]] = {}
+        for (key, merged), page in zip(groups.items(), pages):
+            for (wrapper_id, _), position in merged.items():
+                if isinstance(page, Exception):
+                    slot = f"page {key[0]!r} failed to parse: {page}"
+                elif isinstance(page[position], Exception):
+                    slot = f"wrapper {wrapper_id!r}: {page[position]}"
+                else:
+                    slot = page[position]
+                slots[key, position] = slot
         for pending, placement in zip(batch, placements):
-            result: list[ExtractionRecord] = []
-            error: Optional[str] = None
-            for key, wrapper in placement:
-                status, value = slots[(key, groups[key][wrapper])]
-                if status != "ok":
-                    error = str(value)
-                    break
-                p, w, paths, values = value
-                result.append(
-                    ExtractionRecord(page_id=p, wrapper_id=w, paths=paths, values=values)
-                )
             if pending.future.done():
                 continue
+            result = [slots[key, groups[key][wrapper]] for key, wrapper in placement]
+            error = next((slot for slot in result if isinstance(slot, str)), None)
             if error is not None:
                 pending.future.set_exception(RequestError(error))
             else:

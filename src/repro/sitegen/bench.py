@@ -8,11 +8,6 @@ which long-archive studies stop being interactive.  Like the
 ``BENCH_xpath.json`` ratios it divides a fixed constant by the host's
 wall-clock, so it scales with host speed and gets the wide tolerance
 band in ``scripts/check_bench.py``.
-
-``throughput.parallel_gen_vs_serial`` is self-arming: a process-pool
-fan-out over families cannot beat serial on a single-CPU host, so the
-gate records ``gate_applies: false`` there (the ``bench_cluster`` /
-``bench_net`` convention) and arms itself on multi-core runners.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import json
 import os
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from repro.evolution.archive import SyntheticArchive
@@ -46,28 +40,10 @@ def render_family(spec: FamilySpec, n_snapshots: int) -> int:
     return pages
 
 
-def _render_payload(payload: dict, n_snapshots: int) -> int:
-    """Process-pool worker (module-level: specs travel as payload dicts
-    because compiled builders are closures and do not pickle)."""
-    return render_family(FamilySpec.from_payload(payload), n_snapshots)
-
-
 def measure_serial(specs: Sequence[FamilySpec], n_snapshots: int) -> dict:
     start = time.perf_counter()
     pages = sum(render_family(spec, n_snapshots) for spec in specs)
     return _rate(pages, time.perf_counter() - start)
-
-
-def measure_parallel(
-    specs: Sequence[FamilySpec], n_snapshots: int, workers: int
-) -> dict:
-    payloads = [spec.to_payload() for spec in specs]
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pages = sum(pool.map(_render_payload, payloads, [n_snapshots] * len(payloads)))
-    measured = _rate(pages, time.perf_counter() - start)
-    measured["workers"] = workers
-    return measured
 
 
 def _rate(pages: int, elapsed: float) -> dict:
@@ -79,36 +55,23 @@ def _rate(pages: int, elapsed: float) -> dict:
     }
 
 
-def bench_payload(
-    specs: Sequence[FamilySpec], n_snapshots: int, workers: int | None = None
-) -> dict:
+def bench_payload(specs: Sequence[FamilySpec], n_snapshots: int) -> dict:
     """Measure generation throughput and shape the BENCH JSON payload."""
-    cpus = os.cpu_count() or 1
-    workers = workers or min(4, cpus)
     serial = measure_serial(specs, n_snapshots)
-    parallel = measure_parallel(specs, n_snapshots, workers)
     return {
         "benchmark": "sitegen family-fleet generation throughput",
         "current": {
             "families": len(specs),
             "snapshots": n_snapshots,
-            "cpus": cpus,
+            "cpus": os.cpu_count() or 1,
             "serial": serial,
-            "parallel": parallel,
         },
         "throughput": {
             "pages_per_sec_vs_floor": round(
                 serial["pages_per_sec"] / FLOOR_PAGES_PER_SEC, 2
             ),
-            "parallel_gen_vs_serial": round(
-                parallel["pages_per_sec"] / max(serial["pages_per_sec"], 1e-9), 2
-            ),
         },
         "required_pages_per_sec": FLOOR_PAGES_PER_SEC,
-        # Per-metric self-arming (the bench_net convention): the floor
-        # ratio is always gated; the parallelism ratio only means
-        # something on a multi-core host.
-        "gate_applies": {"throughput.parallel_gen_vs_serial": cpus >= 2},
     }
 
 
@@ -120,7 +83,6 @@ __all__ = [
     "BENCH_FILENAME",
     "FLOOR_PAGES_PER_SEC",
     "bench_payload",
-    "measure_parallel",
     "measure_serial",
     "render_family",
     "write_bench",

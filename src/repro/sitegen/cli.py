@@ -131,7 +131,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_study_jsonl(args.out, records)
         print(f"study stream: {args.out} ({len(records)} records)")
     if args.bench is not None:
-        payload = bench_payload(specs, args.snapshots, workers=args.workers or None)
+        payload = bench_payload(specs, args.snapshots)
         write_bench(args.bench, payload)
         throughput = payload["current"]["serial"]["pages_per_sec"]
         print(f"bench: {args.bench} (serial generation {throughput} pages/sec)")

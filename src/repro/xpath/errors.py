@@ -10,5 +10,11 @@ class XPathParseError(XPathError):
 
     def __init__(self, message: str, text: str, position: int) -> None:
         super().__init__(f"{message} at offset {position} in {text!r}")
+        self.message = message
         self.text = text
         self.position = position
+
+    def __reduce__(self):
+        # Rebuilt from the constructor's arguments, so the error survives
+        # the pickle trip back from a BatchExtractor pool worker.
+        return type(self), (self.message, self.text, self.position)

@@ -1,9 +1,8 @@
 """Public-surface audit: ``__all__`` must match reality.
 
-Every ``__all__`` entry must resolve (lazy PEP 562 exports and
-deprecation shims included), every facade symbol must be exported both
-by ``repro.api`` and at the package root, and the deprecated entry
-points must keep working while warning exactly once per process.
+Every ``__all__`` entry must resolve (lazy PEP 562 exports included),
+every facade symbol must be exported both by ``repro.api`` and at the
+package root, and the removed deprecated entry points stay removed.
 """
 
 import importlib
@@ -132,10 +131,11 @@ def test_top_level_dom_convenience_exports():
 
 
 class TestDeprecatedEntryPoints:
+    """The facade-era deprecation shims (``repro.WrapperInducer``,
+    ``repro.induce``, ``repro.runtime.BatchExtractor``) are gone; the
+    engine layers stay public at their own module paths."""
+
     def test_deprecated_names_stay_out_of_dunder_all(self):
-        """Star imports must be warning-free (and survive
-        ``-W error::DeprecationWarning``): only touching a deprecated
-        name warns, so the shims cannot live in ``__all__``."""
         import repro
         import repro.runtime
 
@@ -153,33 +153,6 @@ class TestDeprecatedEntryPoints:
         assert "WrapperClient" in namespace
         assert getattr(repro, "WrapperClient") is namespace["WrapperClient"]
 
-    def test_top_level_wrapper_inducer_warns_once_and_works(self):
-        import repro
-        from repro.induction.induce import WrapperInducer
-
-        repro._warned_deprecations.discard("WrapperInducer")
-        with pytest.warns(DeprecationWarning, match="WrapperClient"):
-            assert repro.WrapperInducer is WrapperInducer
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert repro.WrapperInducer is WrapperInducer  # second access is quiet
-
-    def test_top_level_induce_warns_and_works(self):
-        import repro
-        from repro.induction.induce import induce
-
-        repro._warned_deprecations.discard("induce")
-        with pytest.warns(DeprecationWarning, match="WrapperClient"):
-            assert repro.induce is induce
-
-    def test_runtime_batch_extractor_warns_and_works(self):
-        import repro.runtime
-        from repro.runtime.extractor import BatchExtractor
-
-        repro.runtime._warned_deprecations.discard("BatchExtractor")
-        with pytest.warns(DeprecationWarning, match="WrapperClient.extract"):
-            assert repro.runtime.BatchExtractor is BatchExtractor
-
     def test_unknown_attributes_still_raise(self):
         import repro
         import repro.runtime
@@ -188,3 +161,9 @@ class TestDeprecatedEntryPoints:
             repro.no_such_name
         with pytest.raises(AttributeError):
             repro.runtime.no_such_name
+        with pytest.raises(AttributeError):
+            repro.WrapperInducer
+        with pytest.raises(AttributeError):
+            repro.runtime.BatchExtractor
+        # The lazy network exports still resolve.
+        assert repro.runtime.WrapperHTTPServer.__name__ == "WrapperHTTPServer"

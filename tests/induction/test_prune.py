@@ -166,14 +166,13 @@ class TestConfigOptions:
             ("beam_width", True),
             ("prune_trials", "4"),
             ("prune_seed", None),
-            ("fold_workers", 2.0),
             ("search", 1),
             ("diversity", "0.5"),
         ],
     )
     def test_wrongly_typed_options_rejected(self, key, bad):
         """Malformed wire values must fail here (FacadeError/422 on the
-        wire), not as a 500 deep inside the pruner or the process pool."""
+        wire), not as a 500 deep inside the pruner."""
         with pytest.raises(ValueError, match=f"induction option '{key}'"):
             config_with_options(InductionConfig(), {key: bad})
 

@@ -1,6 +1,6 @@
-"""The bulk wire modes of ``/extract_many``: JSON default, NDJSON
-streaming negotiation, per-item failure slots, and client/router
-parity across ``wire="pipeline"|"bulk"|"stream"``."""
+"""The bulk wire mode of ``/extract_many``: the JSON answer (whatever
+``Accept`` asks for), per-item failure slots, and client/router parity
+across ``wire="pipeline"|"bulk"``."""
 
 import asyncio
 import json
@@ -80,29 +80,6 @@ async def json_exchange(host, port, payload: bytes):
         writer.close()
 
 
-async def stream_exchange(host, port, payload: bytes):
-    """Send one request; parse a length-prefixed NDJSON answer."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(payload)
-        await writer.drain()
-        status, headers = await read_head(reader)
-        slots = []
-        while True:
-            prefix = await reader.readline()
-            length = int(prefix.strip())
-            if length == 0:
-                break
-            frame = await reader.readexactly(length)
-            assert frame.endswith(b"\n")  # the length covers the newline
-            slots.append(json.loads(frame))
-        trailing = await reader.read()  # server must close after the stream
-        assert trailing == b""
-        return status, headers, slots
-    finally:
-        writer.close()
-
-
 class TestWireProtocol:
     def test_json_default_slots_match_single_extract(self):
         async def go():
@@ -131,7 +108,10 @@ class TestWireProtocol:
 
         run(go())
 
-    def test_accept_negotiates_the_ndjson_stream(self):
+    def test_ndjson_accept_gets_the_json_body(self):
+        """The NDJSON stream mode is gone; a client that still asks for
+        it gets the JSON answer on a kept-alive connection."""
+
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
                 host, port = server.address
@@ -142,7 +122,7 @@ class TestWireProtocol:
                 _, _, json_body = await json_exchange(
                     host, port, request_bytes("/extract_many", {"items": items})
                 )
-                status, headers, slots = await stream_exchange(
+                status, headers, body = await json_exchange(
                     host, port,
                     request_bytes(
                         "/extract_many", {"items": items},
@@ -150,11 +130,10 @@ class TestWireProtocol:
                     ),
                 )
                 assert status == 200
-                assert headers["content-type"] == "application/x-ndjson"
-                assert headers["connection"] == "close"
-                assert "content-length" not in headers
-                # Same slots, frame by frame, in item order.
-                assert slots == json_body["results"]
+                assert headers["content-type"] == "application/json"
+                assert headers["connection"] == "keep-alive"
+                assert body == json_body
+                assert [slot["status"] for slot in body["results"]] == [200, 200]
 
         run(go())
 
@@ -217,40 +196,41 @@ class TestClientWireModes:
         ("shop/name", OTHER_PAGE),
     ]
 
-    def test_bulk_and_stream_match_pipeline(self, live_server):
+    def test_bulk_matches_pipeline(self, live_server):
         remote, _, _ = live_server
         baseline = remote.extract_many(self.ITEMS, wire="pipeline")
-        for wire in ("bulk", "stream"):
-            results = remote.extract_many(self.ITEMS, wire=wire)
-            assert [r.to_payload() for r in results] == [
-                r.to_payload() for r in baseline
-            ]
+        results = remote.extract_many(self.ITEMS, wire="bulk")
+        assert [r.to_payload() for r in results] == [
+            r.to_payload() for r in baseline
+        ]
 
     def test_bulk_modes_raise_the_same_typed_errors(self, live_server):
         remote, _, _ = live_server
         items = [("shop/name", TITLE_PAGE), ("no/such", TITLE_PAGE)]
-        for wire in ("bulk", "stream"):
-            results = remote.extract_many(items, wire=wire, return_errors=True)
-            assert results[0].values == ("Alpha",)
-            assert isinstance(results[1], KeyError)
-            with pytest.raises(KeyError):
-                remote.extract_many(items, wire=wire)
+        results = remote.extract_many(items, wire="bulk", return_errors=True)
+        assert results[0].values == ("Alpha",)
+        assert isinstance(results[1], KeyError)
+        with pytest.raises(KeyError):
+            remote.extract_many(items, wire="bulk")
 
     def test_invalid_wire_is_rejected_by_every_backend(self, live_server):
-        remote, _, _ = live_server
-        for client in (remote, WrapperClient()):
-            with pytest.raises(FacadeError, match="wire"):
-                client.extract_many(self.ITEMS, wire="telepathy")
+        remote, host, port = live_server
+        cluster = ClusterMap((f"{host}:{port}",), n_shards=8)
+        with RouterClient(cluster) as router:
+            for client in (remote, router, WrapperClient()):
+                for wire in ("telepathy", "stream"):
+                    with pytest.raises(FacadeError, match="wire"):
+                        client.extract_many(self.ITEMS, wire=wire)
+                for concurrency in (0, -5):
+                    with pytest.raises(FacadeError, match="concurrency"):
+                        client.extract_many([], concurrency=concurrency)
 
     def test_router_passes_wire_through(self, live_server):
         _, host, port = live_server
         cluster = ClusterMap((f"{host}:{port}",), n_shards=8)
         with RouterClient(cluster) as router:
             baseline = router.extract_many(self.ITEMS, wire="pipeline")
-            for wire in ("bulk", "stream"):
-                results = router.extract_many(self.ITEMS, wire=wire)
-                assert [r.to_payload() for r in results] == [
-                    r.to_payload() for r in baseline
-                ]
-            with pytest.raises(FacadeError, match="wire"):
-                router.extract_many(self.ITEMS, wire="telepathy")
+            results = router.extract_many(self.ITEMS, wire="bulk")
+            assert [r.to_payload() for r in results] == [
+                r.to_payload() for r in baseline
+            ]

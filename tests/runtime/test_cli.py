@@ -218,6 +218,13 @@ class TestServe:
         assert stats["stats"]["requests"] == stats["requests"]
         assert stats["stats"]["coalesced_requests"] > 0
 
+    def test_workers_flag_is_gone(self, store_dir):
+        """Serving runs on one thread; the process mode and its flag
+        were removed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--artifacts", str(store_dir), "--workers", "2"])
+        assert exit_info.value.code == 2
+
 
 class TestServeListen:
     def test_parse_listen_accepts_host_port(self):

@@ -1,5 +1,6 @@
 """Batch extraction engine: equivalence with the serial loop, worker
-fan-out, grouping, and node-reference fidelity."""
+fan-out, grouping, node-reference fidelity, and the per-page kernel's
+failure isolation."""
 
 import pytest
 
@@ -14,8 +15,9 @@ from repro.runtime import (
     extract_serial,
     jobs_for_artifacts,
 )
-from repro.runtime.extractor import BatchExtractor
+from repro.runtime.extractor import BatchExtractor, extract_pages
 from repro.sites import single_node_tasks
+from repro.xpath.errors import XPathParseError
 
 
 @pytest.fixture(scope="module")
@@ -122,24 +124,33 @@ class TestJobConstruction:
             BatchExtractor(workers=0)
 
 
-class TestPersistentPool:
-    def test_pool_is_reused_across_calls(self, corpus_jobs):
-        expected = BatchExtractor(workers=2).extract(corpus_jobs)
-        with BatchExtractor(workers=2, persistent=True) as extractor:
-            first = extractor.extract(corpus_jobs)
-            pool = extractor._pool
-            assert pool is not None
-            second = extractor.extract(corpus_jobs)
-            assert extractor._pool is pool  # same pool, not respawned
-        assert first == second == expected
-        assert extractor._pool is None  # context exit shut it down
+BAD_QUERY = "not a query (("
 
-    def test_close_is_idempotent(self):
-        extractor = BatchExtractor(workers=2, persistent=True)
-        extractor.close()
-        extractor.close()
 
-    def test_single_worker_persistent_never_spawns(self, corpus_jobs):
-        with BatchExtractor(workers=1, persistent=True) as extractor:
-            extractor.extract(corpus_jobs)
-            assert extractor._pool is None
+def _page_html() -> str:
+    return to_html(document(E("html", E("body", E("p", "x")))))
+
+
+class TestPageKernel:
+    """``extract_pages``: the one per-page kernel behind the batch
+    engine and the serving layer (whose tests cover its parse cache
+    and page-level failures)."""
+
+    def test_failing_wrapper_fails_only_its_slot(self):
+        wrappers = (("a", "descendant::p"), ("bad", BAD_QUERY), ("b", "descendant::body"))
+        (slots,), stats = extract_pages([("p1", _page_html(), wrappers)])
+        first, bad, last = slots
+        assert (first.wrapper_id, first.values) == ("a", ("x",))
+        assert isinstance(bad, XPathParseError)
+        assert (last.wrapper_id, last.count) == ("b", 1)
+        assert stats == {"parsed": 1, "cache_hits": 0, "cache_evictions": 0}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_raises_the_failing_wrappers_exception(self, workers):
+        html = _page_html()
+        jobs = [
+            PageJob("p1", html, (("a", "descendant::p"),)),
+            PageJob("p2", html, (("bad", BAD_QUERY),)),
+        ]
+        with pytest.raises(XPathParseError, match="trailing input"):
+            BatchExtractor(workers=workers).extract(jobs)

@@ -203,7 +203,7 @@ class TestConcurrency:
         layer parses it once (coalescing) while every caller still gets
         the records for *its* wrapper."""
         client = deployed_client()
-        config = NetConfig(serving=ServingConfig(workers=1))
+        config = NetConfig(serving=ServingConfig())
 
         async def one(host, port, site_key):
             return await raw_request(
@@ -706,7 +706,7 @@ class TestAccessLogWire:
         stream = io.StringIO()
         client = deployed_client()
         config = NetConfig(
-            serving=ServingConfig(workers=1),
+            serving=ServingConfig(),
             access_log=AccessLog(stream=stream),
         )
 
@@ -858,60 +858,26 @@ class TestInduceWire:
         run(go())
 
     def test_resource_options_clamped_before_the_inducer(self):
-        """Pool- and work-sizing options from untrusted clients are
-        clamped server-side: ``fold_workers`` can never exceed the CPU
-        count (it sizes a persistent process pool), beam/trial widths
-        are bounded, and everything else passes through untouched."""
-        import os
-
+        """Work-sizing options from untrusted clients are clamped
+        server-side: beam/trial widths are bounded, and everything else
+        passes through untouched."""
         sanitize = WrapperHTTPServer._sanitize_induce_options
         sanitized = sanitize(
             {
-                "fold_workers": 100_000,
                 "beam_width": 10**6,
                 "prune_trials": 999,
                 "prune_seed": 7,
                 "search": "pruned",
             }
         )
-        assert sanitized["fold_workers"] <= (os.cpu_count() or 1)
         assert sanitized["beam_width"] == 64
         assert sanitized["prune_trials"] == 32
         assert sanitized["prune_seed"] == 7
         assert sanitized["search"] == "pruned"
         # Non-integer values pass through for config validation to 422.
-        assert sanitize({"fold_workers": 2.5}) == {"fold_workers": 2.5}
+        assert sanitize({"beam_width": 2.5}) == {"beam_width": 2.5}
         assert sanitize(None) is None
         assert sanitize({}) == {}
-
-    def test_huge_wire_fold_workers_accepted_but_bounded(self):
-        from repro.induction import parallel
-
-        sample = self._wire_sample()
-
-        async def go():
-            async with WrapperHTTPServer(deployed_client()) as server:
-                host, port = server.address
-                status, _, body = await raw_request(
-                    host,
-                    port,
-                    post(
-                        "/induce",
-                        {
-                            "site_key": "shop/wire",
-                            "samples": [sample],
-                            "options": {"fold_workers": 100_000},
-                        },
-                    ),
-                )
-                assert status == 200, body
-
-        run(go())
-        import os
-
-        assert all(
-            workers <= (os.cpu_count() or 1) for workers in parallel._SHARED_POOLS
-        )
 
     def test_wrongly_typed_option_is_422_not_500(self):
         sample = self._wire_sample()
@@ -968,3 +934,63 @@ class TestInduceWire:
         assert induce_record["induce_ms"] >= 0
         assert induce_record["induce_ms"] <= induce_record["latency_ms"]
         assert "induce_ms" not in extract_record
+
+
+CEILINGS = WrapperHTTPServer._WIRE_OPTION_CEILINGS
+
+
+class TestDeployCeilings:
+    """``/deploy`` refuses an artifact whose config exceeds the ceilings
+    ``/induce`` clamps to: ``/repair`` re-induces under the deployed
+    config, so an unbounded one would make each repair's cost a number
+    the client chose."""
+
+    def _artifact_payload(self, **config) -> dict:
+        payload = deployed_client().artifact("shop/price").to_payload()
+        payload["task_id"] = "shop/deployed"
+        payload["config"] = {**payload["config"], "search": "pruned", **config}
+        return payload
+
+    def _deploy(self, artifact: dict):
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                status, _, body = await raw_request(
+                    host, port, post("/deploy", {"artifact": artifact})
+                )
+                repaired = None
+                if status == 200:
+                    repaired = await raw_request(
+                        host,
+                        port,
+                        post(
+                            "/repair",
+                            {"site_key": "shop/deployed", "html": TITLE_PAGE},
+                        ),
+                    )
+                return status, body, repaired
+
+        return run(go())
+
+    @pytest.mark.parametrize("key,ceiling", CEILINGS.items())
+    def test_config_at_the_ceiling_deploys_and_repairs(self, key, ceiling):
+        status, body, repaired = self._deploy(self._artifact_payload(**{key: ceiling}))
+        assert status == 200, body
+        assert body["site_key"] == "shop/deployed"
+        repair_status, _, repair_body = repaired
+        assert repair_status == 200, repair_body
+
+    @pytest.mark.parametrize("key,ceiling", CEILINGS.items())
+    def test_config_above_the_ceiling_is_422(self, key, ceiling):
+        status, body, repaired = self._deploy(
+            self._artifact_payload(**{key: ceiling + 1})
+        )
+        assert status == 422, body
+        assert body["code"] == "unprocessable"
+        assert f"{key}={ceiling + 1}" in body["error"]
+        assert repaired is None
+
+    def test_invalid_config_is_422_not_500(self):
+        status, body, _ = self._deploy(self._artifact_payload(prune_trials="32"))
+        assert status == 422, body
+        assert body["code"] == "unprocessable"

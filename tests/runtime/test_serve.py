@@ -137,9 +137,9 @@ class TestLimits:
 
     def test_invalid_config_is_rejected(self):
         with pytest.raises(ValueError):
-            ServingConfig(workers=0)
-        with pytest.raises(ValueError):
             ServingConfig(max_pending=0)
+        with pytest.raises(ValueError):
+            ServingConfig(parse_cache_bytes=-1)
 
 
 class TestFailureIsolation:
@@ -188,13 +188,13 @@ class TestFailureIsolation:
 
         import repro.runtime.serve as serve_mod
 
-        original = serve_mod._serve_chunk
+        original = serve_mod.extract_pages
 
-        def slow_chunk(payload, cache=None):
+        def slow_pages(pages, cache=None):
             _time.sleep(0.1)  # hold the dispatcher so the queue backs up
-            return original(payload, cache)
+            return original(pages, cache)
 
-        monkeypatch.setattr(serve_mod, "_serve_chunk", slow_chunk)
+        monkeypatch.setattr(serve_mod, "extract_pages", slow_pages)
 
         async def go():
             server = AsyncExtractionServer(
@@ -218,6 +218,35 @@ class TestFailureIsolation:
         closed = [r for r in results if isinstance(r, RuntimeError)]
         assert closed  # the backpressured waiters were failed, not hung
 
+    def test_unparseable_page_fails_only_its_requests(self, monkeypatch):
+        import repro.runtime.extractor as extractor_mod
+
+        original = extractor_mod.parse_html
+
+        def parse(html):
+            if "Beta" in html:
+                raise ValueError("garbled bytes")
+            return original(html)
+
+        monkeypatch.setattr(extractor_mod, "parse_html", parse)
+        requests = [
+            job("site-a@0", PAGE_A, ("t", TITLE)),
+            job("site-b@0", PAGE_B, ("t", TITLE)),
+            job("site-b@0", PAGE_B, ("p", PRICE)),
+        ]
+
+        async def go():
+            async with AsyncExtractionServer() as server:
+                return await asyncio.gather(
+                    *(server.extract(r) for r in requests), return_exceptions=True
+                )
+
+        good, *bad = run(go())
+        assert good[0].values == ("Alpha",)
+        for error in bad:
+            assert isinstance(error, RequestError)
+            assert "'site-b@0' failed to parse: garbled bytes" in str(error)
+
     def test_requests_fail_fast_when_server_closes(self):
         async def go():
             server = AsyncExtractionServer()
@@ -235,17 +264,6 @@ class TestFailureIsolation:
                     await server.start()
 
         run(go())
-
-
-class TestProcessPoolMode:
-    def test_multiprocess_server_matches_thread_server(self):
-        requests = [
-            job("site-a@0", PAGE_A, ("t", TITLE)),
-            job("site-b@0", PAGE_B, ("p", PRICE)),
-        ] * 3
-        single, _ = serve_jobs_sync(requests, ServingConfig(workers=1))
-        multi, _ = serve_jobs_sync(requests, ServingConfig(workers=2))
-        assert single == multi
 
 
 class TestServeJobsHelpers:
