@@ -8,13 +8,11 @@ a real localhost TCP socket and replays a per-wrapper extraction stream
 three ways:
 
 * **serial HTTP** — one :class:`~repro.api.RemoteWrapperClient`, one
-  request at a time: every request pays its own round trip *and* its
-  own page parse (nothing to coalesce);
+  request at a time: every request pays its own round trip;
 * **concurrent HTTP (8 clients)** — eight threads, each with its own
-  connection: requests for the same rendered page arrive together, the
-  serving layer coalesces them onto one parse and demultiplexes the
-  records per caller.  The acceptance bar is ≥ 1.2× the serial-HTTP
-  throughput;
+  connection: requests for the same rendered page arrive together and
+  share one dispatch batch.  The acceptance bar is ≥ 1.2× the
+  serial-HTTP throughput;
 * **in-process serving at concurrency 8** — the same stream through
   :func:`repro.runtime.serve.serve_jobs` with no sockets: the reference
   ceiling, recorded (not gated) so the wire overhead stays visible
@@ -29,9 +27,8 @@ the ratio is new relative to the committed baseline).
 A raw-speed-tier ratio rides along, self-arming (asserted only on
 multi-core hosts; 1-CPU containers record it with a per-metric
 ``gate_applies`` of ``false``): **cached_page_vs_cold** — the
-in-process stream with every request its own dispatch batch
-(coalescing off the table), parse cache on vs. off: the cross-request
-win of the content-hash :class:`~repro.runtime.serve.ParseCache`.
+in-process stream, parse cache on vs. off: the win of the
+content-hash :class:`~repro.runtime.serve.ParseCache`.
 Required ≥ 2.0× when the gate arms.
 """
 
@@ -121,16 +118,15 @@ class ServerThread:
 
 #: Independent consumers polling each (wrapper, page) — the serving
 #: traffic shape (dashboards, downstream pipelines, retry loops all ask
-#: for the same rendered page).  Concurrent consumers of one page are
-#: exactly what the serving layer coalesces onto a single parse; the
-#: serial baseline pays the parse per request.
+#: for the same rendered page).  Repeats of one page are exactly what
+#: the serving layer's parse cache answers without a parse.
 CONSUMERS = 3
 
 
 def build_requests(n_snapshots: int):
     """(site_key, html) extraction requests — ``CONSUMERS`` per
     (wrapper, page), grouped by rendered page so the concurrent window
-    covers coalescible neighbors — plus the deployed client."""
+    covers same-page neighbors — plus the deployed client."""
     artifacts, page_html = build_fleet(n_snapshots)
     client = WrapperClient()
     for artifact in artifacts:
@@ -205,10 +201,8 @@ def test_net_bench(benchmark, emit):
     client, artifacts, requests = build_requests(n_snapshots)
 
     cpus = len(os.sched_getaffinity(0))
-    # Every request its own dispatch batch: the coalescer cannot mask
-    # what the cross-request parse cache does.
-    cold_config = ServingConfig(max_batch_pages=1, parse_cache_bytes=0)
-    warm_config = ServingConfig(max_batch_pages=1)
+    cold_config = ServingConfig(parse_cache_bytes=0)
+    warm_config = ServingConfig()
 
     with ServerThread(client) as server:
         # Correctness first: the concurrent stream answers exactly what

@@ -5,9 +5,9 @@ Serving traffic is *per-wrapper* requests: independent clients each ask
 gets by pointing those requests at the batch engine one call at a time
 (``BatchExtractor(workers=1).extract([job])`` per request — one parse
 per request, no sharing).  The serving layer answers the same request
-stream through micro-batching + same-page coalescing + the parse cache
-on its one worker thread; the acceptance bar is ≥ 1.5× the serial-call
-throughput at client concurrency 8 on the full corpus.
+stream through micro-batching + the parse cache on its one worker
+thread; the acceptance bar is ≥ 1.5× the serial-call throughput at
+client concurrency 8 on the full corpus.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def serial_calls(requests: list[PageJob]) -> list:
 
 
 def serve_stream(requests: list[PageJob]):
-    config = ServingConfig(max_pending=64, per_site_limit=8, max_batch_pages=16)
+    config = ServingConfig(max_pending=64)
     return asyncio.run(serve_jobs(requests, config, concurrency=CONCURRENCY))
 
 
@@ -83,7 +83,6 @@ def test_serving_bench(benchmark, emit):
             "n_requests": len(requests),
             "n_pages": stats.pages_parsed,
             "concurrency": CONCURRENCY,
-            "coalesced_requests": stats.coalesced_requests,
             "batches": stats.batches,
             "peak_pending": stats.peak_pending,
         }

@@ -359,8 +359,9 @@ class RemoteWrapperClient:
 
     def metrics(self) -> dict:
         """The server's traffic counters (``GET /metrics``): admission
-        queue depth, coalescing rate, per-status and per-tenant
-        request/error/429 counters.  Unauthenticated, like healthz."""
+        queue depth, serving and parse-cache counters, per-status and
+        per-tenant request/error/429 counters.  Unauthenticated, like
+        healthz."""
         return self._request("GET", "/metrics")
 
     def induce(

@@ -120,24 +120,29 @@ class Sample:
     @classmethod
     def from_payload(cls, payload: dict) -> "Sample":
         """Rebuild a live sample from its wire form (reparses the page
-        and re-resolves every canonical path)."""
-        stored = StoredSample.from_payload(payload)
-        sample = stored.restore()
-        fields = None
-        raw_fields = payload.get("fields")
-        if raw_fields:
-            fields = {
-                str(name): tuple(
-                    resolve_path(sample.doc, str(path)) for path in paths
-                )
-                for name, paths in raw_fields.items()
-            }
-        return cls(
-            sample.doc,
-            sample.targets,
-            fields=fields,
-            context=None if sample.context is sample.doc.root else sample.context,
-        )
+        and re-resolves every canonical path).  A payload that does not
+        decode into a valid sample raises :class:`FacadeError`."""
+        try:
+            sample = StoredSample.from_payload(payload).restore()
+            fields = None
+            raw_fields = payload.get("fields")
+            if raw_fields:
+                if not isinstance(raw_fields, dict):
+                    raise TypeError("'fields' must map field names to path lists")
+                fields = {
+                    str(name): tuple(
+                        resolve_path(sample.doc, str(path)) for path in paths
+                    )
+                    for name, paths in raw_fields.items()
+                }
+            return cls(
+                sample.doc,
+                sample.targets,
+                fields=fields,
+                context=None if sample.context is sample.doc.root else sample.context,
+            )
+        except (TypeError, ValueError) as exc:
+            raise FacadeError(f"malformed sample payload: {exc}") from exc
 
     def __repr__(self) -> str:
         fields = f", fields={sorted(self.fields)}" if self.fields else ""

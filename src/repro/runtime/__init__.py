@@ -20,15 +20,14 @@ This package provides that layer:
   shard directories by stable site-key hash, with atomic writes and an
   mtime-validated LRU;
 * :mod:`repro.runtime.serve` — an asyncio request/response front-end
-  over the batch engine with micro-batching, same-page request
-  coalescing, per-site concurrency limits, and bounded-queue
-  backpressure;
+  over the per-page extraction kernel with micro-batching, a
+  content-hash parse cache, and bounded-queue backpressure;
 * :mod:`repro.runtime.fleet` — a multi-process drift sweeper assigning
   whole store shards to workers, streaming full drift telemetry and
   chaining repairs generation over generation;
 * :mod:`repro.runtime.net` — an HTTP/1.1 JSON front-end serving the
   :mod:`repro.api` facade over TCP (``serve --listen HOST:PORT``), with
-  extraction traffic coalesced through the async serving layer and
+  extraction traffic routed through the async serving layer and
   optional shard ownership (``--own-shards``) for cluster members
   routed by :mod:`repro.cluster`;
 * ``python -m repro.runtime`` — an ``induce`` / ``extract`` / ``check``

@@ -42,6 +42,7 @@ from repro.induction.samples import QuerySample
 from repro.xpath.ast import Query
 from repro.xpath.canonical import canonical_key, canonical_path
 from repro.xpath.compile import evaluate_compiled
+from repro.xpath.errors import XPathParseError
 from repro.xpath.parser import parse_query
 
 #: Current artifact format version.  Bump on any incompatible change to
@@ -123,7 +124,14 @@ def resolve_path(doc: Document, path: str) -> Node:
     The shared re-location primitive: stored samples, facade samples,
     and explicit re-annotations all address nodes this way.
     """
-    matches = evaluate_compiled(parse_query(path), doc.root, doc)
+    try:
+        query = parse_query(path)
+    except XPathParseError as exc:
+        raise ArtifactError(
+            f"canonical path {path!r} does not parse: "
+            f"{exc.message} at offset {exc.position}"
+        ) from exc
+    matches = evaluate_compiled(query, doc.root, doc)
     if len(matches) != 1:
         raise ArtifactError(
             f"canonical path {path!r} selects {len(matches)} nodes on the stored page"
@@ -212,7 +220,9 @@ class StoredSample:
             return cls(
                 html=str(payload["html"]),
                 target_paths=tuple(str(p) for p in payload["targets"]),
-                context_path=payload.get("context"),
+                context_path=(
+                    None if payload.get("context") is None else str(payload["context"])
+                ),
                 volatile_texts=tuple(str(v) for v in payload.get("volatile_texts", ())),
                 volatile_key=str(payload.get("volatile_key", "volatile")),
             )

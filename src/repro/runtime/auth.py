@@ -25,7 +25,7 @@ without a server:
   (per-status, per-tenant request/error/429, auth rejections), with
   the same LRU bound on the per-tenant map;
 * :class:`AccessLog` — structured JSONL access logging (one object per
-  answered request: tenant, verb, status, latency, coalesced flag).
+  answered request: tenant, verb, status, latency).
 
 Everything here is synchronous and cheap; the event loop calls it
 inline (no locks needed — asyncio serializes the callers).
@@ -327,9 +327,9 @@ class AccessLog:
     """JSONL access log: one object per answered request.
 
     Fields: ``ts`` (epoch seconds), ``tenant``, ``verb`` (``METHOD
-    /endpoint``), ``status``, ``latency_ms``, ``coalesced`` (the
-    request shared a page parse with a concurrent one).  ``emit`` never
-    raises — a full disk must degrade logging, not serving.
+    /endpoint``), ``status``, ``latency_ms``, and ``induce_ms`` on
+    induction requests.  ``emit`` never raises — a full disk must
+    degrade logging, not serving.
     """
 
     stream: IO[str]
@@ -349,7 +349,6 @@ class AccessLog:
         verb: str,
         status: int,
         latency_ms: float,
-        coalesced: bool = False,
         induce_ms: Optional[float] = None,
     ) -> None:
         record = {
@@ -358,7 +357,6 @@ class AccessLog:
             "verb": verb,
             "status": int(status),
             "latency_ms": round(float(latency_ms), 3),
-            "coalesced": bool(coalesced),
         }
         if induce_ms is not None:
             # Executor-side induction wall time (queue included) — only

@@ -13,7 +13,7 @@ synthetic archive corpus:
   first drift (signals + snapshot), and optionally auto-repair by
   re-induction from the stored samples;
 * ``serve`` — run a per-wrapper request stream through the async
-  serving layer (micro-batching + coalescing + backpressure) and
+  serving layer (micro-batching + parse cache + backpressure) and
   report throughput;
 * ``sweep`` — run the multi-process drift fleet over a sharded store:
   full telemetry streams, repair chains, repaired generations written
@@ -369,10 +369,7 @@ def cmd_serve_listen(args: argparse.Namespace) -> int:
     else:
         epoch = client.store.epoch if client.store is not None else 0
     config = NetConfig(
-        serving=ServingConfig(
-            max_pending=args.max_pending,
-            per_site_limit=args.per_site_limit,
-        ),
+        serving=ServingConfig(max_pending=args.max_pending),
         auth=auth,
         quota=quota,
         access_log=access_log,
@@ -448,7 +445,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         page_html[site_id] = to_html(archive.snapshot(args.snapshot))
 
     # Per-wrapper request stream: what independent serving clients send
-    # (one wrapper per request), so coalescing has real work to do.
+    # (one wrapper per request), so the parse cache has real work to do.
     requests: list[PageJob] = []
     for artifact in artifacts:
         html = page_html.get(artifact.site_id)
@@ -466,10 +463,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for wid, text in wrappers
         )
 
-    config = ServingConfig(
-        max_pending=args.max_pending,
-        per_site_limit=args.per_site_limit,
-    )
+    config = ServingConfig(max_pending=args.max_pending)
     started = time.perf_counter()
     results, stats = serve_jobs_sync(requests, config, concurrency=args.concurrency)
     elapsed = time.perf_counter() - started
@@ -477,14 +471,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     empty = sum(record.is_empty for records in results for record in records)
     print(
         f"{stats.requests} requests over {stats.pages_parsed} parsed pages "
-        f"({stats.coalesced_requests} coalesced) in {stats.batches} batches; "
+        f"({stats.parse_cache_hits} parse-cache hits) in {stats.batches} batches; "
         f"{empty} empty results"
     )
     print(
         f"concurrency {args.concurrency}: "
         f"{elapsed:.2f}s = {len(requests) / elapsed:.0f} requests/s "
-        f"(peak pending {stats.peak_pending}, "
-        f"peak per-site in-flight {stats.peak_site_inflight})"
+        f"(peak pending {stats.peak_pending})"
     )
     if args.json:
         payload = {
@@ -756,13 +749,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=(
             "with --listen: append one JSONL record per answered request "
-            "(tenant, verb, status, latency_ms, coalesced)"
+            "(tenant, verb, status, latency_ms)"
         ),
     )
     serve.add_argument("--snapshot", type=int, default=0, help="archive snapshot index")
     serve.add_argument("--concurrency", type=int, default=8, help="client concurrency")
     serve.add_argument("--max-pending", type=int, default=64, help="admission queue bound")
-    serve.add_argument("--per-site-limit", type=int, default=8)
     serve.add_argument("--no-ensemble", action="store_true", help="top queries only")
     serve.add_argument("--json", help="write serving stats to this file")
     serve.set_defaults(func=cmd_serve)

@@ -52,9 +52,8 @@ Traffic hardening (ROADMAP's "safe to point the internet at", all
   LRU-bounded (:class:`~repro.runtime.auth.TenantRateLimiter`) so
   distinct dead tenants never grow server memory;
 * **structured access logs** (``NetConfig.access_log``): one JSONL
-  object per answered request — tenant, verb, status, latency,
-  coalesced flag;
-* **GET /metrics**: admission-queue depth, coalescing rate, parse-cache
+  object per answered request — tenant, verb, status, latency;
+* **GET /metrics**: admission-queue depth, serving and parse-cache
   hit/miss/eviction/byte counters, per-status and per-tenant
   request/error/429 counters, 421 rejection count — the scrape surface
   for ``RouterClient.metrics()`` and nightly CI.
@@ -63,22 +62,25 @@ Request routing by cost:
 
 * ``extract``/``check`` for node/ensemble wrappers become
   :class:`~repro.runtime.extractor.PageJob`\\ s admitted into the shared
-  :class:`~repro.runtime.serve.AsyncExtractionServer` — concurrent
-  clients hitting the same rendered page *coalesce onto one parse* and
-  are demultiplexed per caller, exactly as in-process serving does;
-* ``induce``/``repair`` (and record-mode extraction, whose relative
-  field queries need a live DOM) run on the default thread executor so
-  long inductions never stall the event loop or other connections.
+  :class:`~repro.runtime.serve.AsyncExtractionServer` — clients
+  hitting the same rendered page share one parse through its parse
+  cache, exactly as in-process serving does;
+* ``induce``/``repair`` (on their own :data:`INDUCE_WORKERS`-thread
+  pool) and record-mode extraction, whose relative field queries need
+  a live DOM, run off the event loop so long inductions never stall it
+  or other connections.
 
-Failure containment: malformed JSON → 400, unknown wrapper → 404,
-oversized body → 413 (bounded by ``NetConfig.max_body_bytes`` *before*
-the body is read), a key placing into a shard this host does not own →
-421 with code ``shard_not_owned`` (cluster members launched with
-``--own-shards``; the body names the wanted shard and the owned
-group), a ``/deploy`` artifact whose config exceeds the ``/induce``
-option ceilings → 422, a client disconnecting mid-request just ends
-its connection — the server and every other connection keep serving.
-Error bodies are ``{"error": message, "code": code, ...}``.
+Failure containment: malformed JSON or a wrongly typed field → 400,
+unknown wrapper → 404, oversized body → 413 (bounded by
+``NetConfig.max_body_bytes`` *before* the body is read), a key placing
+into a shard this host does not own → 421 with code
+``shard_not_owned`` (cluster members launched with ``--own-shards``;
+the body names the wanted shard and the owned group), an unusable
+sample, path or option, or a ``/deploy`` artifact whose config exceeds
+the ``/induce`` option ceilings → 422, and 500 for server faults only;
+a client disconnecting mid-request just ends its connection — the
+server and every other connection keep serving.  Error bodies are
+``{"error": message, "code": code, ...}``.
 """
 
 from __future__ import annotations
@@ -147,6 +149,12 @@ def _reason(status: int) -> str:
     return _REASONS.get(status) or http.client.responses.get(status) or "Unknown"
 
 
+#: Threads of the dedicated ``/induce``/``/repair`` executor: heavy
+#: induction traffic queues here instead of starving the default thread
+#: pool that extract/deploy/store loads run on.
+INDUCE_WORKERS = 2
+
+
 @dataclass(frozen=True)
 class NetConfig:
     """Network front-end limits.
@@ -171,18 +179,12 @@ class NetConfig:
     auth: Optional[ApiKeyTable] = None
     quota: Optional[QuotaConfig] = None
     access_log: Optional[AccessLog] = None
-    #: Dedicated bounded executor for ``/induce``/``/repair``: heavy
-    #: induction traffic queues here instead of starving the default
-    #: thread pool that extract/deploy/store loads run on.
-    induce_workers: int = 2
 
     def __post_init__(self) -> None:
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         if self.max_header_bytes < 256:
             raise ValueError("max_header_bytes must be >= 256")
-        if self.induce_workers < 1:
-            raise ValueError("induce_workers must be >= 1")
 
 
 class _HTTPError(Exception):
@@ -225,6 +227,19 @@ class _HTTPError(Exception):
 
     def payload(self) -> dict:
         return {"error": self.message, "code": self.code, **self.extra}
+
+
+def _error_answer(exc: Exception) -> tuple[int, dict]:
+    """The one exception → ``(status, body)`` mapping, shared by whole
+    requests and ``/extract_many`` slots."""
+    if isinstance(exc, _HTTPError):
+        return exc.status, exc.payload()
+    if isinstance(exc, (FacadeError, ArtifactError, RequestError, StoreError)):
+        return 422, {"error": str(exc), "code": "unprocessable"}
+    if isinstance(exc, KeyError):
+        key = exc.args[0] if exc.args else ""
+        return 404, {"error": f"unknown site_key {key!r}", "code": "unknown_wrapper"}
+    return 500, {"error": str(exc), "code": "internal"}
 
 
 class WrapperHTTPServer:
@@ -449,8 +464,7 @@ class WrapperHTTPServer:
         self._serving = AsyncExtractionServer(self.config.serving)
         await self._serving.start()
         self._induce_pool = ThreadPoolExecutor(
-            max_workers=self.config.induce_workers,
-            thread_name_prefix="repro-induce",
+            max_workers=INDUCE_WORKERS, thread_name_prefix="repro-induce"
         )
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -500,7 +514,6 @@ class WrapperHTTPServer:
                 verb=ctx.get("verb", ""),
                 status=status,
                 latency_ms=(time.perf_counter() - started) * 1000.0,
-                coalesced=bool(ctx.get("coalesced", False)),
                 induce_ms=ctx.get("induce_ms"),
             )
 
@@ -530,29 +543,14 @@ class WrapperHTTPServer:
                 close = headers.get("connection", "").lower() == "close"
                 extra_headers: dict = {}
                 try:
-                    try:
-                        status, payload = await self._dispatch(
-                            method, path, headers, body, ctx
-                        )
-                    except _HTTPError as exc:
-                        status = exc.status
-                        payload = exc.payload()
+                    status, payload = await self._dispatch(
+                        method, path, headers, body, ctx
+                    )
+                except Exception as exc:  # noqa: BLE001 - every failure is answered
+                    status, payload = _error_answer(exc)
+                    if isinstance(exc, _HTTPError):
                         close = close or exc.close
                         extra_headers = exc.headers
-                    except (
-                        FacadeError, ArtifactError, RequestError, StoreError
-                    ) as exc:
-                        status, payload = 422, {
-                            "error": str(exc), "code": "unprocessable"
-                        }
-                    except KeyError as exc:
-                        key = exc.args[0] if exc.args else ""
-                        status, payload = 404, {
-                            "error": f"unknown site_key {key!r}",
-                            "code": "unknown_wrapper",
-                        }
-                    except Exception as exc:  # noqa: BLE001 - last-resort isolation
-                        status, payload = 500, {"error": str(exc), "code": "internal"}
                 finally:
                     if self._inflight is not None and "inflight" in ctx:
                         self._inflight.leave(ctx["inflight"])
@@ -744,17 +742,13 @@ class WrapperHTTPServer:
         raise _HTTPError(404, f"no such endpoint: {method} {path}")
 
     def _metrics_payload(self) -> dict:
-        stats = self.serving_stats
         payload = {
             "ok": True,
             "epoch": self.epoch,
             "queue_depth": (
                 self._serving.queue_depth if self._serving is not None else 0
             ),
-            "serving": stats.as_dict(),
-            "coalescing_rate": (
-                stats.coalesced_requests / stats.requests if stats.requests else 0.0
-            ),
+            "serving": self.serving_stats.as_dict(),
             "parse_cache": (
                 asdict(self._serving.parse_cache_info())
                 if self._serving is not None
@@ -766,7 +760,7 @@ class WrapperHTTPServer:
         requests = self._induce_requests
         payload["induction"] = {
             **counters,
-            "induce_pool_workers": self.config.induce_workers,
+            "induce_pool_workers": INDUCE_WORKERS,
             "induce_pool_depth": self._induce_depth,
             "induce_pool_depth_peak": self._induce_depth_peak,
             "induce_requests": requests,
@@ -794,6 +788,13 @@ class WrapperHTTPServer:
         value = payload.get(name)
         if not isinstance(value, str) or not value:
             raise _HTTPError(400, f"missing or invalid field {name!r}")
+        return value
+
+    @staticmethod
+    def _int_field(payload: dict, name: str, default: int) -> int:
+        value = payload.get(name, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise _HTTPError(400, f"field {name!r} must be an integer")
         return value
 
     async def _in_executor(self, fn: Callable[[], dict]) -> dict:
@@ -880,6 +881,10 @@ class WrapperHTTPServer:
         if options is not None and not isinstance(options, dict):
             raise _HTTPError(400, "'options' must be a JSON object")
         options = self._sanitize_induce_options(options)
+        sizes = {
+            name: self._int_field(payload, name, default)
+            for name, default in (("k", 10), ("ensemble_size", 3), ("max_queries", 10))
+        }
 
         def op() -> dict:
             from repro.api.sample import Sample
@@ -889,11 +894,9 @@ class WrapperHTTPServer:
                 site_key,
                 samples,
                 mode,
-                k=int(payload.get("k", 10)),
-                ensemble_size=int(payload.get("ensemble_size", 3)),
-                max_queries=int(payload.get("max_queries", 10)),
                 role=str(payload.get("role", "")),
                 options=options,
+                **sizes,
             )
             return handle.to_payload()
 
@@ -924,8 +927,7 @@ class WrapperHTTPServer:
             html=html,
             wrappers=tuple(extraction_wrappers(artifact)),
         )
-        records, coalesced = await self._serving.extract_info(job)
-        ctx["coalesced"] = coalesced
+        records = await self._serving.extract_info(job)
         if check_only:
             return 200, check_from_records(
                 artifact, records, self.client.drift
@@ -939,9 +941,9 @@ class WrapperHTTPServer:
     ):
         """Bulk extraction: one request, per-item result slots.
 
-        Items run concurrently (identical pages coalesce onto one parse
-        in the serving layer, and repeated pages hit the parse cache),
-        but slots always come back in item order.  Every per-item gate —
+        Items run concurrently (a page repeated across items is parsed
+        once and then found in the serving layer's parse cache), but
+        slots always come back in item order.  Every per-item gate —
         authorization, quota, ownership, unknown wrapper, malformed
         item — fails only its slot, with the same ``error``/``code``
         body fields the single-item endpoints use, so remote clients
@@ -956,37 +958,20 @@ class WrapperHTTPServer:
             # and each item must enter/leave the gauge independently.
             sub: dict = {}
             try:
-                try:
-                    if not isinstance(item, dict):
-                        raise _HTTPError(400, "each item must be a JSON object")
-                    status, result = await self._op_extract(
-                        item, principal, sub, check_only=False
-                    )
-                    slot = {"status": status, "result": result}
-                except _HTTPError as exc:
-                    slot = {"status": exc.status, **exc.payload()}
-                except (
-                    FacadeError, ArtifactError, RequestError, StoreError
-                ) as exc:
-                    slot = {
-                        "status": 422, "error": str(exc), "code": "unprocessable"
-                    }
-                except KeyError as exc:
-                    key = exc.args[0] if exc.args else ""
-                    slot = {
-                        "status": 404,
-                        "error": f"unknown site_key {key!r}",
-                        "code": "unknown_wrapper",
-                    }
-                except Exception as exc:  # noqa: BLE001 - slot-level isolation
-                    slot = {"status": 500, "error": str(exc), "code": "internal"}
+                if not isinstance(item, dict):
+                    raise _HTTPError(400, "each item must be a JSON object")
+                status, result = await self._op_extract(
+                    item, principal, sub, check_only=False
+                )
+                slot = {"status": status, "result": result}
+            except Exception as exc:  # noqa: BLE001 - slot-level isolation
+                status, body = _error_answer(exc)
+                slot = {"status": status, **body}
             finally:
                 if self._inflight is not None and "inflight" in sub:
                     self._inflight.leave(sub["inflight"])
             if sub.get("tenant") and "tenant" not in ctx:
                 ctx["tenant"] = sub["tenant"]
-            if sub.get("coalesced"):
-                ctx["coalesced"] = True
             return slot
 
         return 200, {"results": list(await asyncio.gather(*map(one, items)))}

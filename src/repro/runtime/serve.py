@@ -1,37 +1,30 @@
-"""Async serving layer over the batch extraction engine.
+"""Async serving layer over the per-page extraction kernel.
 
 :class:`~repro.runtime.extractor.BatchExtractor` is a *batch* API: the
 caller already holds every (wrapper, page) pair and wants them all.  A
 serving deployment sees the opposite shape — many independent callers
-each asking "run this wrapper on this page, now" — and calling the batch
-engine once per request throws away exactly the amortization it exists
-for (one parse per request instead of one parse per page).
+each asking "run this wrapper on this page, now".
 
-:class:`AsyncExtractionServer` restores the batch shape *behind* a
+:class:`AsyncExtractionServer` answers that shape behind a
 request/response front-end:
 
-* **admission** — ``await extract(job)`` enqueues onto a bounded queue;
-  a full queue suspends the caller (backpressure, not buffering bloat),
-  and a per-site semaphore caps how many requests a single site may
-  hold in flight, so one hot site cannot starve the fleet;
+* **admission** — ``await extract_info(job)`` enqueues onto a bounded
+  queue; a full queue suspends the caller (backpressure, not buffering
+  bloat);
 * **micro-batching** — a dispatcher drains whatever is queued (up to
-  ``max_batch_pages`` pages) into one batch, so concurrency the clients
-  already exhibit becomes per-page amortization with no added latency
-  when the queue is empty (a lone request dispatches immediately);
-* **coalescing** — requests in a batch that target the same page (same
-  ``page_id`` + identical HTML) share one parse + one document index:
-  their wrapper lists are merged (deduplicated by wrapper id + query
-  text) and the records are demultiplexed back to each caller;
-* **parse caching** — coalescing only dedups *within* one batch
-  window; a :class:`ParseCache` (content-hash-keyed, byte-budget
-  LRU) carries parsed documents *across* requests and batches, so the
-  production-common case — a repeated page hitting a warm server —
-  skips parsing entirely.  See the class docstring for the
+  :data:`MAX_BATCH` requests) into one batch, so concurrent callers
+  share one hop to the worker thread; a lone request dispatches
+  immediately;
+* **parse caching** — a :class:`ParseCache` (content-hash-keyed,
+  byte-budget LRU) is the one way requests share a parse: the first
+  request carrying a page's bytes parses it, and every later request
+  with the same bytes — later in the same batch or in any later batch
+  — finds the cached document.  See the class docstring for the
   invalidation contract;
-* **execution** — merged page groups run through the batch engine's
-  per-page kernel (:func:`~repro.runtime.extractor.extract_pages`,
-  which isolates failures per wrapper: a malformed query fails only
-  the requests that sent it, as a :class:`RequestError`) on one
+* **execution** — each request is one page entry for the per-page
+  kernel (:func:`~repro.runtime.extractor.extract_pages`, which
+  isolates failures per wrapper: a malformed query fails only the
+  request that sent it, as a :class:`RequestError`), run on one
   in-process thread that outlives requests — no pickling, and the
   parse cache's documents stay usable.
 
@@ -49,7 +42,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.dom.node import Document
 from repro.runtime.extractor import ExtractionRecord, PageJob, extract_pages
@@ -59,7 +52,7 @@ class RequestError(RuntimeError):
     """One serving request failed (bad query, unparseable page, ...).
 
     Scoped to the request: other requests in the same dispatch batch —
-    including ones coalesced onto the same page — are unaffected.
+    including ones for the same page — are unaffected.
     """
 
 
@@ -165,14 +158,8 @@ class ParseCache:
             )
 
 
-def default_site_key(job: PageJob) -> str:
-    """Site key of a request for per-site limits.
-
-    The runtime's page ids are ``<site_id>`` or ``<site_id>@<snapshot>``
-    (see ``jobs_for_artifacts``); everything before the first ``@`` is
-    the site.
-    """
-    return job.page_id.split("@", 1)[0]
+#: How many queued requests one dispatch drains into a single batch.
+MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -180,25 +167,17 @@ class ServingConfig:
     """Knobs for the serving layer.
 
     ``max_pending`` bounds the admission queue — when full,
-    ``extract()`` awaits instead of buffering without limit.
-    ``per_site_limit`` caps in-flight requests per site key.
-    ``max_batch_pages`` caps how many queued requests one dispatch
-    drains into a single batch.  ``parse_cache_bytes`` is the byte
-    budget of the cross-request :class:`ParseCache` (0 disables it).
+    ``extract_info()`` awaits instead of buffering without limit.
+    ``parse_cache_bytes`` is the byte budget of the :class:`ParseCache`
+    (0 disables it, and then every request parses its page).
     """
 
     max_pending: int = 64
-    per_site_limit: int = 8
-    max_batch_pages: int = 16
     parse_cache_bytes: int = 16 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.per_site_limit < 1:
-            raise ValueError("per_site_limit must be >= 1")
-        if self.max_batch_pages < 1:
-            raise ValueError("max_batch_pages must be >= 1")
         if self.parse_cache_bytes < 0:
             raise ValueError("parse_cache_bytes must be >= 0")
 
@@ -207,24 +186,17 @@ class ServingConfig:
 class ServerStats:
     """Observability counters, updated as the dispatcher runs.
 
-    ``pages_parsed`` counts parses actually *performed* (historically it
-    counted distinct pages per payload, silently including pages the
-    worker never parsed once the cache landed).  ``parses_avoided``
-    counts the parses the amortization machinery absorbed: requests
-    coalesced onto another request's parse within a batch, plus
-    :class:`ParseCache` hits across batches — so the cache's effect is
-    directly observable as ``parses_avoided`` vs ``pages_parsed``.
+    ``pages_parsed`` counts parses actually performed;
+    ``parse_cache_hits`` counts requests that found their page in the
+    :class:`ParseCache` instead of parsing it.
     """
 
     requests: int = 0
     pages_parsed: int = 0
-    parses_avoided: int = 0
-    coalesced_requests: int = 0
     parse_cache_hits: int = 0
     parse_cache_evictions: int = 0
     batches: int = 0
     peak_pending: int = 0
-    peak_site_inflight: int = 0
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -232,16 +204,10 @@ class ServerStats:
 
 @dataclass
 class _Pending:
-    """One admitted request waiting for its records.
-
-    ``coalesced`` is set by the dispatcher when this request shared a
-    page parse with another request in its batch — surfaced per
-    request (access logs) next to the aggregate counter in stats.
-    """
+    """One admitted request waiting for its records."""
 
     job: PageJob
-    future: "asyncio.Future[list[ExtractionRecord]]" = field(repr=False, default=None)
-    coalesced: bool = False
+    future: "asyncio.Future[list[ExtractionRecord]]" = field(repr=False)
 
 
 class AsyncExtractionServer:
@@ -250,28 +216,21 @@ class AsyncExtractionServer:
     Use as an async context manager::
 
         async with AsyncExtractionServer(ServingConfig()) as server:
-            records = await server.extract(job)           # one request
+            records = await server.extract_info(job)      # one request
             all_records = await server.extract_many(jobs) # a stream
 
     The server must be started from within a running event loop; the
     dispatcher task and the worker thread live until ``aclose()``.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServingConfig] = None,
-        site_key: Callable[[PageJob], str] = default_site_key,
-    ) -> None:
+    def __init__(self, config: Optional[ServingConfig] = None) -> None:
         self.config = config or ServingConfig()
-        self.site_key = site_key
         self.stats = ServerStats()
         #: The cross-request page cache (``None`` when disabled).
         self.parse_cache: Optional[ParseCache] = None
         self._queue: Optional[asyncio.Queue[_Pending]] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._site_sems: dict[str, asyncio.Semaphore] = {}
-        self._site_inflight: dict[str, int] = {}
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -357,43 +316,21 @@ class AsyncExtractionServer:
             capacity_bytes=0,
         )
 
-    async def extract(self, job: PageJob) -> list[ExtractionRecord]:
+    async def extract_info(self, job: PageJob) -> list[ExtractionRecord]:
         """Serve one request; resolves to the records for *this* job's
-        wrappers (in job order), however the page was batched."""
-        records, _ = await self.extract_info(job)
-        return records
-
-    async def extract_info(self, job: PageJob) -> tuple[list[ExtractionRecord], bool]:
-        """Like :meth:`extract`, also reporting whether this request
-        coalesced onto another request's page parse."""
+        wrappers, in job order."""
         if self._queue is None or self._closed:
             raise RuntimeError("server is not running (use 'async with')")
-        site = self.site_key(job)
-        sem = self._site_sems.setdefault(
-            site, asyncio.Semaphore(self.config.per_site_limit)
-        )
-        async with sem:
-            self._site_inflight[site] = self._site_inflight.get(site, 0) + 1
-            self.stats.peak_site_inflight = max(
-                self.stats.peak_site_inflight, self._site_inflight[site]
+        pending = _Pending(job, asyncio.get_running_loop().create_future())
+        await self._queue.put(pending)
+        # put() may have suspended across aclose(); nothing will
+        # dispatch this request anymore, so fail it now.
+        if self._closed and not pending.future.done():
+            pending.future.set_exception(
+                RuntimeError("server closed before request was served")
             )
-            try:
-                pending = _Pending(
-                    job, asyncio.get_running_loop().create_future()
-                )
-                await self._queue.put(pending)
-                # put() may have suspended across aclose(); nothing will
-                # dispatch this request anymore, so fail it now.
-                if self._closed and not pending.future.done():
-                    pending.future.set_exception(
-                        RuntimeError("server closed before request was served")
-                    )
-                self.stats.peak_pending = max(
-                    self.stats.peak_pending, self._queue.qsize()
-                )
-                return await pending.future, pending.coalesced
-            finally:
-                self._site_inflight[site] -= 1
+        self.stats.peak_pending = max(self.stats.peak_pending, self._queue.qsize())
+        return await pending.future
 
     async def extract_many(
         self, jobs: Sequence[PageJob], concurrency: int = 8
@@ -406,7 +343,7 @@ class AsyncExtractionServer:
 
         async def one(job: PageJob) -> list[ExtractionRecord]:
             async with gate:
-                return await self.extract(job)
+                return await self.extract_info(job)
 
         return list(await asyncio.gather(*(one(job) for job in jobs)))
 
@@ -416,7 +353,7 @@ class AsyncExtractionServer:
         assert self._queue is not None
         while True:
             batch = [await self._queue.get()]
-            while len(batch) < self.config.max_batch_pages:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -424,33 +361,14 @@ class AsyncExtractionServer:
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
-        # Coalesce: requests for the same rendered page share one parse.
-        # Key on page id *and* HTML — a page id reused with different
-        # content (e.g. a re-render race) must not share records.
-        groups: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-        placements: list[list[tuple[tuple[str, str], tuple[str, str]]]] = []
-        for pending in batch:
-            key = (pending.job.page_id, pending.job.html)
-            merged = groups.setdefault(key, {})
-            if merged:
-                self.stats.coalesced_requests += 1
-                pending.coalesced = True
-            placement = []
-            for wrapper in pending.job.wrappers:
-                if wrapper not in merged:
-                    merged[wrapper] = len(merged)
-                placement.append((key, wrapper))
-            placements.append(placement)
-
+        # One kernel entry per request: a page repeated in the batch is
+        # parsed for its first request and a parse-cache hit after that.
         payload = [
-            (page_id, html, tuple(merged.keys()))
-            for (page_id, html), merged in groups.items()
+            (pending.job.page_id, pending.job.html, pending.job.wrappers)
+            for pending in batch
         ]
         self.stats.batches += 1
         self.stats.requests += len(batch)
-        # Requests that shared another request's parse in this batch —
-        # the worker reports the cache's share after it runs.
-        self.stats.parses_avoided += len(batch) - len(payload)
 
         loop = asyncio.get_running_loop()
         try:
@@ -471,31 +389,24 @@ class AsyncExtractionServer:
             return
         self.stats.pages_parsed += stats["parsed"]
         self.stats.parse_cache_hits += stats["cache_hits"]
-        self.stats.parses_avoided += stats["cache_hits"]
         self.stats.parse_cache_evictions += stats["cache_evictions"]
 
-        # Demultiplex: the kernel answers per payload page, with one slot
-        # per merged wrapper; index them by (page key, merged position).
-        # A slot is a record or the error message its requests fail with.
-        slots: dict[tuple[tuple[str, str], int], Union[ExtractionRecord, str]] = {}
-        for (key, merged), page in zip(groups.items(), pages):
-            for (wrapper_id, _), position in merged.items():
-                if isinstance(page, Exception):
-                    slot = f"page {key[0]!r} failed to parse: {page}"
-                elif isinstance(page[position], Exception):
-                    slot = f"wrapper {wrapper_id!r}: {page[position]}"
-                else:
-                    slot = page[position]
-                slots[key, position] = slot
-        for pending, placement in zip(batch, placements):
+        for pending, page in zip(batch, pages):
             if pending.future.done():
                 continue
-            result = [slots[key, groups[key][wrapper]] for key, wrapper in placement]
-            error = next((slot for slot in result if isinstance(slot, str)), None)
-            if error is not None:
-                pending.future.set_exception(RequestError(error))
+            if isinstance(page, Exception):
+                pending.future.set_exception(RequestError(
+                    f"page {pending.job.page_id!r} failed to parse: {page}"
+                ))
+                continue
+            for (wrapper_id, _), slot in zip(pending.job.wrappers, page):
+                if isinstance(slot, Exception):
+                    pending.future.set_exception(
+                        RequestError(f"wrapper {wrapper_id!r}: {slot}")
+                    )
+                    break
             else:
-                pending.future.set_result(result)
+                pending.future.set_result(page)
 
 
 async def serve_jobs(
@@ -526,7 +437,6 @@ __all__ = [
     "RequestError",
     "ServerStats",
     "ServingConfig",
-    "default_site_key",
     "serve_jobs",
     "serve_jobs_sync",
 ]

@@ -182,6 +182,14 @@ class TestFacadeContract:
         assert result.generation == 1
         assert not result.drifted
 
+    def test_repair_with_unparseable_path_raises_facade_error(self, client):
+        """An explicit re-annotation path that is not dsXPath is a bad
+        annotation — FacadeError on every backend, never a raw
+        XPathParseError from one side or a 500 from the other."""
+        client.induce("parity/badpath", [price_sample()])
+        with pytest.raises(FacadeError, match="does not parse"):
+            client.repair("parity/badpath", PRICE_V2, target_paths=["child::((("])
+
     def test_delete(self, client):
         client.induce("parity/delete", [price_sample()])
         client.delete("parity/delete")

@@ -3,6 +3,7 @@
 across ``wire="pipeline"|"bulk"``."""
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -138,13 +139,22 @@ class TestWireProtocol:
         run(go())
 
     def test_per_item_failures_fail_the_slot_not_the_batch(self):
+        client = deployed_client()
+        # A deployed wrapper whose ensemble member does not parse: its
+        # slot fails with the same 422 /extract answers it with.
+        broken = client.artifact("shop/price")
+        client.deploy(dataclasses.replace(
+            broken, task_id="shop/broken", ensemble=("child::(((",), quorum=1
+        ))
+
         async def go():
-            async with WrapperHTTPServer(deployed_client()) as server:
+            async with WrapperHTTPServer(client) as server:
                 host, port = server.address
                 items = [
                     {"site_key": "no/such", "html": TITLE_PAGE},
                     {"site_key": "shop/name"},  # missing html
                     {"site_key": "shop/name", "html": TITLE_PAGE},
+                    {"site_key": "shop/broken", "html": TITLE_PAGE},
                 ]
                 status, _, body = await json_exchange(
                     host, port, request_bytes("/extract_many", {"items": items})
@@ -156,6 +166,9 @@ class TestWireProtocol:
                 assert slots[1]["status"] == 400
                 assert slots[2]["status"] == 200
                 assert slots[2]["result"]["values"] == ["Alpha"]
+                assert slots[3]["status"] == 422
+                assert slots[3]["code"] == "unprocessable"
+                assert "'m0'" in slots[3]["error"]
 
         run(go())
 

@@ -216,14 +216,18 @@ class TestServe:
         assert "requests over" in out and "requests/s" in out
         stats = json.loads(stats_path.read_text())
         assert stats["stats"]["requests"] == stats["requests"]
-        assert stats["stats"]["coalesced_requests"] > 0
+        # One wrapper per request: repeats of a page hit the parse cache.
+        assert stats["stats"]["parse_cache_hits"] > 0
+        assert stats["stats"]["pages_parsed"] < stats["requests"]
 
     def test_workers_flag_is_gone(self, store_dir):
-        """Serving runs on one thread; the process mode and its flag
-        were removed."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--artifacts", str(store_dir), "--workers", "2"])
-        assert exit_info.value.code == 2
+        """Serving runs on one thread with no per-site limits; the
+        process mode, the per-site semaphores and their flags were
+        removed."""
+        for flag in ("--workers", "--per-site-limit"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", "--artifacts", str(store_dir), flag, "2"])
+            assert exit_info.value.code == 2
 
 
 class TestServeListen:

@@ -2,8 +2,8 @@
 
 Covers the satellite failure paths: malformed JSON requests, unknown
 site keys, oversized payloads, clients disconnecting mid-request, and
-concurrent clients hitting the same page (coalescing must still
-demultiplex per caller)."""
+concurrent clients hitting the same page (one parse, yet every caller
+gets its own wrapper's records)."""
 
 import asyncio
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro import Sample, WrapperClient, mark_volatile, parse_html
-from repro.runtime.net import NetConfig, WrapperHTTPServer
+from repro.runtime.net import INDUCE_WORKERS, NetConfig, WrapperHTTPServer
 from repro.runtime.serve import ServingConfig
 
 TITLE_PAGE = """
@@ -200,8 +200,8 @@ class TestFailurePaths:
 class TestConcurrency:
     def test_concurrent_clients_on_one_page_coalesce_and_demux(self):
         """Many clients hit the same rendered page at once: the serving
-        layer parses it once (coalescing) while every caller still gets
-        the records for *its* wrapper."""
+        layer parses it once (the parse cache answers every repeat)
+        while every caller still gets the records for *its* wrapper."""
         client = deployed_client()
         config = NetConfig(serving=ServingConfig())
 
@@ -221,9 +221,10 @@ class TestConcurrency:
         for (status, _, body), key in zip(answers, ["shop/name", "shop/price"] * 6):
             assert status == 200
             expected = ["Alpha"] if key == "shop/name" else ["10"]
-            assert body["values"] == expected, f"wrong demux for {key}"
-        assert stats.coalesced_requests > 0
-        assert stats.pages_parsed < stats.requests
+            assert body["values"] == expected, f"wrong records for {key}"
+        assert stats.requests == 12
+        assert stats.pages_parsed == 1
+        assert stats.parse_cache_hits == 11
 
     def test_keep_alive_serves_sequential_requests(self):
         async def go():
@@ -657,7 +658,11 @@ class TestMetricsEndpoint:
                 assert body["ok"] is True
                 assert body["queue_depth"] >= 0
                 assert body["serving"]["requests"] >= 1
-                assert 0.0 <= body["coalescing_rate"] <= 1.0
+                assert set(body["serving"]) == {
+                    "requests", "pages_parsed", "parse_cache_hits",
+                    "parse_cache_evictions", "batches", "peak_pending",
+                }
+                assert "coalescing_rate" not in body
                 assert body["requests_total"] >= 2
                 assert body["by_status"]["200"] >= 1
                 assert body["auth"]["unauthorized_401"] >= 1
@@ -694,41 +699,9 @@ class TestAccessLogWire:
         assert records[0]["verb"] == "POST /extract"
         assert records[0]["status"] == 200
         assert records[0]["latency_ms"] >= 0
-        assert records[0]["coalesced"] is False
+        assert "coalesced" not in records[0]
         assert records[1]["verb"] == "GET /wrappers/no%2Fsuch"
         assert records[1]["status"] == 404
-
-    def test_coalesced_requests_are_flagged(self):
-        import io
-
-        from repro.runtime.auth import AccessLog
-
-        stream = io.StringIO()
-        client = deployed_client()
-        config = NetConfig(
-            serving=ServingConfig(),
-            access_log=AccessLog(stream=stream),
-        )
-
-        async def one(host, port, site_key):
-            return await raw_request(
-                host,
-                port,
-                post("/extract", {"site_key": site_key, "html": TITLE_PAGE}),
-            )
-
-        async def go():
-            async with WrapperHTTPServer(client, config) as server:
-                host, port = server.address
-                keys = ["shop/name", "shop/price"] * 6
-                await asyncio.gather(*(one(host, port, k) for k in keys))
-                return server.serving_stats, stream.getvalue()
-
-        stats, text = run(go())
-        records = [json.loads(line) for line in text.splitlines()]
-        flagged = sum(record["coalesced"] for record in records)
-        assert flagged == stats.coalesced_requests
-        assert flagged > 0
 
 
 class TestConfig:
@@ -737,6 +710,8 @@ class TestConfig:
             NetConfig(max_body_bytes=0)
         with pytest.raises(ValueError):
             NetConfig(max_header_bytes=8)
+        with pytest.raises(TypeError):
+            NetConfig(induce_workers=4)  # a fixed pool size, not an option
 
     def test_double_start_rejected(self):
         async def go():
@@ -784,7 +759,7 @@ class TestInduceWire:
         assert block["pruned_candidates_skipped"] == 0
         assert block["repairs"] == 0
         # Executor-level gauges.
-        assert block["induce_pool_workers"] >= 1
+        assert block["induce_pool_workers"] == INDUCE_WORKERS
         assert block["induce_pool_depth"] == 0  # idle at scrape time
         assert block["induce_pool_depth_peak"] >= 1
         assert block["induce_requests"] == 1
@@ -880,27 +855,66 @@ class TestInduceWire:
         assert sanitize({}) == {}
 
     def test_wrongly_typed_option_is_422_not_500(self):
+        """Malformed ``/induce`` and ``/repair`` bodies get a typed 4xx:
+        400 for a wrongly typed integer field, 422 for a sample, path
+        or option the facade cannot use — never a 500."""
         sample = self._wire_sample()
+        doc = parse_html(TITLE_PAGE)
+        price = doc.find(tag="span", class_="price")
+        name = doc.find(tag="h1", class_="name")
+        mark_volatile(price, name)
+        record = Sample(doc, [price], fields={"name": [name]}).to_payload()
+
+        def induce(**changes):
+            return "/induce", {"site_key": "shop/x", "samples": [sample], **changes}
+
+        def induce_sample(mode="node", **changes):
+            return "/induce", {
+                "site_key": "shop/x",
+                "mode": mode,
+                "samples": [{**(record if mode == "record" else sample), **changes}],
+            }
+
+        table = [
+            (induce(options={"search": "pruned", "beam_width": 2.5}), 422, "beam_width"),
+            (induce(k="abc"), 400, "'k'"),
+            (induce(k=None), 400, "'k'"),
+            (induce(k=True), 400, "'k'"),
+            (induce(ensemble_size="abc"), 400, "'ensemble_size'"),
+            (induce(ensemble_size=None), 400, "'ensemble_size'"),
+            (induce(max_queries="abc"), 400, "'max_queries'"),
+            (induce(max_queries=None), 400, "'max_queries'"),
+            (induce_sample(targets=[]), 422, "at least one target"),
+            (induce_sample(targets=["child::((("]), 422, "'child::((('"),
+            (induce_sample(context=5), 422, "'5'"),
+            (induce_sample("record", fields=["name"]), 422, "'fields'"),
+            (induce_sample("record", fields={"name": ["child::((("]}), 422, "'child::((('"),
+            (
+                ("/repair", {
+                    "site_key": "shop/price",
+                    "html": TITLE_PAGE,
+                    "target_paths": ["child::((("],
+                }),
+                422,
+                "'child::((('",
+            ),
+        ]
 
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
                 host, port = server.address
-                status, _, body = await raw_request(
-                    host,
-                    port,
-                    post(
-                        "/induce",
-                        {
-                            "site_key": "shop/x",
-                            "samples": [sample],
-                            "options": {"search": "pruned", "beam_width": 2.5},
-                        },
-                    ),
-                )
-                assert status == 422, body
-                assert "beam_width" in body["error"]
+                answers = []
+                for (path, body), _, _ in table:
+                    status, _, answer = await raw_request(host, port, post(path, body))
+                    answers.append((status, answer))
+                return answers
 
-        run(go())
+        for row, ((_, status, fragment), (got, answer)) in enumerate(
+            zip(table, run(go()))
+        ):
+            assert got == status, (row, answer)
+            assert answer["code"] == ("bad_request" if status == 400 else "unprocessable")
+            assert fragment in answer["error"], (row, answer)
 
     def test_access_log_stamps_induce_ms_only_on_induce(self):
         import io

@@ -35,12 +35,6 @@ def run(coro):
     return asyncio.run(coro)
 
 
-#: Serving config where every request is its own dispatch batch, so the
-#: coalescer cannot mask what the cross-batch cache does.
-def per_request_config(**overrides):
-    return ServingConfig(max_batch_pages=1, **overrides)
-
-
 class TestParseCacheUnit:
     def test_identical_html_hits_mutated_html_misses(self):
         cache = ParseCache(capacity_bytes=1 << 20)
@@ -85,20 +79,23 @@ class TestParseCacheUnit:
 
 
 class TestServingIntegration:
+    """Client concurrency 1: every request is its own dispatch batch, so
+    these tests see what the cache does across batches."""
+
     def test_repeated_page_across_batches_parses_once(self):
         n = 6
         requests = [job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(n)]
-        results, stats = serve_jobs_sync(requests, per_request_config(), concurrency=1)
+        results, stats = serve_jobs_sync(requests, concurrency=1)
         assert all(records[0].values == ("Alpha",) for records in results)
+        assert stats.batches == n
         assert stats.pages_parsed == 1  # the cold request
         assert stats.parse_cache_hits == n - 1
-        assert stats.parses_avoided == n - 1
 
     def test_disabled_cache_parses_every_request(self):
         n = 4
         requests = [job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(n)]
         _, stats = serve_jobs_sync(
-            requests, per_request_config(parse_cache_bytes=0), concurrency=1
+            requests, ServingConfig(parse_cache_bytes=0), concurrency=1
         )
         assert stats.pages_parsed == n
         assert stats.parse_cache_hits == 0
@@ -108,7 +105,7 @@ class TestServingIntegration:
             job("site-a@0", PAGE_A, ("t", TITLE)),
             job("site-a@1", PAGE_B, ("t", TITLE)),  # re-rendered page
         ]
-        results, stats = serve_jobs_sync(requests, per_request_config(), concurrency=1)
+        results, stats = serve_jobs_sync(requests, concurrency=1)
         assert results[0][0].values == ("Alpha",)
         assert results[1][0].values == ("Beta",)
         assert stats.pages_parsed == 2
@@ -121,7 +118,7 @@ class TestServingIntegration:
             job("site-a@0", PAGE_A, ("w", TITLE)),
             job("site-a@0", PAGE_A, ("w", PRICE)),
         ]
-        results, stats = serve_jobs_sync(requests, per_request_config(), concurrency=1)
+        results, stats = serve_jobs_sync(requests, concurrency=1)
         assert results[0][0].values == ("Alpha",)
         assert results[1][0].values == ("10",)
         assert stats.parse_cache_hits == 1
@@ -135,7 +132,7 @@ class TestServingIntegration:
         requests = [job(f"site-{i}@0", page, ("t", TITLE)) for i, page in enumerate(pages)]
         _, stats = serve_jobs_sync(
             requests,
-            per_request_config(parse_cache_bytes=budget),
+            ServingConfig(parse_cache_bytes=budget),
             concurrency=1,
         )
         assert stats.pages_parsed == 4  # all distinct
@@ -189,14 +186,9 @@ def post(path: str, payload: dict) -> bytes:
 class TestMetricsSurface:
     def test_metrics_counters_match_observed_traffic(self):
         n = 5
-        config = None  # default NetConfig: thread-mode serving, cache on
 
         async def go():
-            from repro.runtime.net import NetConfig
-            from repro.runtime.serve import ServingConfig as SC
-
-            net = NetConfig(serving=SC(max_batch_pages=1))
-            async with WrapperHTTPServer(deployed_client(), net) as server:
+            async with WrapperHTTPServer(deployed_client()) as server:
                 host, port = server.address
                 for _ in range(n):
                     status, _, body = await raw_request(
@@ -211,7 +203,6 @@ class TestMetricsSurface:
                 assert status == 200
                 return metrics
 
-        del config
         metrics = run(go())
         cache = metrics["parse_cache"]
         # Serial requests: the first parse is the only miss; every
@@ -221,7 +212,7 @@ class TestMetricsSurface:
         assert cache["entries"] == 1
         assert cache["evictions"] == 0
         assert metrics["serving"]["pages_parsed"] == 1
-        assert metrics["serving"]["parses_avoided"] == n - 1
+        assert metrics["serving"]["parse_cache_hits"] == n - 1
 
     def test_no_stale_extraction_after_artifact_redeploy(self):
         async def go():

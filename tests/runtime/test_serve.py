@@ -1,7 +1,10 @@
-"""Async serving layer: request/response correctness, coalescing,
-per-site limits, backpressure, and failure isolation."""
+"""Async serving layer: request/response correctness, parse sharing
+through the parse cache, micro-batching, backpressure, and failure
+isolation."""
 
 import asyncio
+import dataclasses
+import inspect
 
 import pytest
 
@@ -14,7 +17,6 @@ from repro.runtime import (
     serve_jobs_sync,
 )
 from repro.runtime.extractor import BatchExtractor
-from repro.runtime.serve import default_site_key
 
 PAGE_A = """
 <html><body>
@@ -46,7 +48,7 @@ class TestCorrectness:
 
         async def go():
             async with AsyncExtractionServer() as server:
-                return await server.extract(request)
+                return await server.extract_info(request)
 
         assert run(go()) == BatchExtractor().extract([request])
 
@@ -65,7 +67,7 @@ class TestCorrectness:
 
     def test_duplicate_wrapper_ids_with_different_queries_stay_distinct(self):
         # Same wrapper id, different query text, same page in one batch:
-        # coalescing must key on (id, text), not id alone.
+        # each request gets the records of its own query.
         requests = [
             job("site-a@0", PAGE_A, ("w", TITLE)),
             job("site-a@0", PAGE_A, ("w", PRICE)),
@@ -84,21 +86,36 @@ class TestCorrectness:
 
 
 class TestCoalescing:
+    """Same-page requests share one parse through the parse cache, the
+    serving layer's one way to share a parse."""
+
     def test_same_page_requests_share_one_parse(self):
-        requests = [job("site-a@0", PAGE_A, (f"w{i}", TITLE)) for i in range(8)]
+        queries = [TITLE, PRICE] * 4
+        requests = [
+            job("site-a@0", PAGE_A, (f"w{i}", query)) for i, query in enumerate(queries)
+        ]
         results, stats = serve_jobs_sync(requests, concurrency=8)
-        assert stats.pages_parsed < len(requests)
-        assert stats.coalesced_requests > 0
-        assert all(records[0].values == ("Alpha",) for records in results)
+        assert stats.pages_parsed == 1
+        assert stats.parse_cache_hits == len(requests) - 1
+        for i, records in enumerate(results):
+            assert records[0].wrapper_id == f"w{i}"
+            assert records[0].values == (("Alpha",) if i % 2 == 0 else ("10",))
 
     def test_same_page_id_different_html_never_shares(self):
         requests = [
             job("site-a@0", PAGE_A, ("t", TITLE)),
             job("site-a@0", PAGE_B, ("t", TITLE)),  # re-rendered page
         ]
-        results, _ = serve_jobs_sync(requests, concurrency=2)
+        results, stats = serve_jobs_sync(requests, concurrency=2)
         assert results[0][0].values == ("Alpha",)
         assert results[1][0].values == ("Beta",)
+        assert stats.pages_parsed == 2
+
+    def test_concurrent_requests_share_dispatch_batches(self):
+        requests = [job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(8)]
+        results, stats = serve_jobs_sync(requests, concurrency=8)
+        assert stats.batches < len(requests)
+        assert all(records[0].values == ("Alpha",) for records in results)
 
     def test_lone_request_dispatches_without_batching_peers(self):
         results, stats = serve_jobs_sync(
@@ -110,20 +127,8 @@ class TestCoalescing:
 
 
 class TestLimits:
-    def test_per_site_limit_caps_inflight(self):
-        config = ServingConfig(per_site_limit=2)
-        requests = [job("hot@0", PAGE_A, (f"w{i}", TITLE)) for i in range(12)]
-
-        async def go():
-            async with AsyncExtractionServer(config) as server:
-                await server.extract_many(requests, concurrency=8)
-                return server.stats
-
-        stats = run(go())
-        assert stats.peak_site_inflight <= 2
-
     def test_backpressure_bounds_the_queue(self):
-        config = ServingConfig(max_pending=2, max_batch_pages=1)
+        config = ServingConfig(max_pending=2)
         requests = [
             job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(10)
         ]
@@ -131,15 +136,16 @@ class TestLimits:
         assert stats.peak_pending <= 2
         assert len(results) == len(requests)
 
-    def test_site_key_defaults_to_page_id_prefix(self):
-        assert default_site_key(job("movies-0@3", PAGE_A)) == "movies-0"
-        assert default_site_key(job("movies-0", PAGE_A)) == "movies-0"
-
     def test_invalid_config_is_rejected(self):
         with pytest.raises(ValueError):
             ServingConfig(max_pending=0)
         with pytest.raises(ValueError):
             ServingConfig(parse_cache_bytes=-1)
+
+    def test_queue_bound_and_cache_budget_are_the_only_knobs(self):
+        fields = [field.name for field in dataclasses.fields(ServingConfig)]
+        assert fields == ["max_pending", "parse_cache_bytes"]
+        assert list(inspect.signature(AsyncExtractionServer).parameters) == ["config"]
 
 
 class TestFailureIsolation:
@@ -148,10 +154,10 @@ class TestFailureIsolation:
         good = job("site-b@0", PAGE_B, ("t", TITLE))
 
         async def go():
-            async with AsyncExtractionServer(ServingConfig(max_batch_pages=1)) as server:
+            async with AsyncExtractionServer() as server:
                 with pytest.raises(RequestError):
-                    await server.extract(bad)
-                return await server.extract(good)
+                    await server.extract_info(bad)
+                return await server.extract_info(good)
 
         records = run(go())
         assert records[0].values == ("Beta",)
@@ -169,7 +175,7 @@ class TestFailureIsolation:
         async def go():
             async with AsyncExtractionServer() as server:
                 results = await asyncio.gather(
-                    *(server.extract(r) for r in requests),
+                    *(server.extract_info(r) for r in requests),
                     return_exceptions=True,
                 )
                 return results, server.stats
@@ -179,7 +185,10 @@ class TestFailureIsolation:
         assert isinstance(results[1], RequestError)
         assert results[2][0].values == ("10",)
         assert results[3][0].values == ("Beta",)
-        assert stats.coalesced_requests >= 1  # bad one really shared a page
+        # One batch, and the bad request's page was parsed once for all
+        # three requests that carry it.
+        assert stats.batches == 1
+        assert (stats.pages_parsed, stats.parse_cache_hits) == (2, 2)
 
     def test_aclose_fails_backpressured_waiters(self, monkeypatch):
         """Callers suspended in the bounded queue's put() at close time
@@ -197,13 +206,11 @@ class TestFailureIsolation:
         monkeypatch.setattr(serve_mod, "extract_pages", slow_pages)
 
         async def go():
-            server = AsyncExtractionServer(
-                ServingConfig(max_pending=1, max_batch_pages=1)
-            )
+            server = AsyncExtractionServer(ServingConfig(max_pending=1))
             await server.start()
             tasks = [
                 asyncio.create_task(
-                    server.extract(job(f"site-{i}@0", PAGE_A, ("t", TITLE)))
+                    server.extract_info(job(f"site-{i}@0", PAGE_A, ("t", TITLE)))
                 )
                 for i in range(6)
             ]
@@ -238,7 +245,7 @@ class TestFailureIsolation:
         async def go():
             async with AsyncExtractionServer() as server:
                 return await asyncio.gather(
-                    *(server.extract(r) for r in requests), return_exceptions=True
+                    *(server.extract_info(r) for r in requests), return_exceptions=True
                 )
 
         good, *bad = run(go())
@@ -253,7 +260,7 @@ class TestFailureIsolation:
             await server.start()
             await server.aclose()
             with pytest.raises(RuntimeError, match="not running"):
-                await server.extract(job("site-a@0", PAGE_A, ("t", TITLE)))
+                await server.extract_info(job("site-a@0", PAGE_A, ("t", TITLE)))
 
         run(go())
 
