@@ -260,10 +260,19 @@ class WrapperClient:
         config: ``search="pruned"`` (stochastic beam instead of the
         exhaustive DP), ``beam_width``/``prune_trials``/``prune_seed``,
         and ``diversity`` (fragile-feature-penalized ensemble
-        selection).  Unknown keys raise :class:`FacadeError`.
+        selection).  Unknown keys raise :class:`FacadeError`, as do a
+        ``k``, ``ensemble_size`` or ``max_queries`` that is not an
+        integer >= 1.
         """
         if mode not in ("node", "record", "ensemble"):
             raise FacadeError(f"unknown induction mode {mode!r}")
+        for name, value in (
+            ("k", k),
+            ("ensemble_size", ensemble_size),
+            ("max_queries", max_queries),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise FacadeError(f"{name} must be an integer >= 1, got {value!r}")
         site_key = self._qualify(site_key)
         config = config or InductionConfig(k=k)
         if options:

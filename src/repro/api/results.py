@@ -14,11 +14,13 @@ protocol (:mod:`repro.runtime.net`), which is what makes
 * :class:`CheckResult` — a drift check (``check``): signals + vote
   counts.
 
-Drift signals are computed from the extraction records alone (canonical
-paths identify nodes uniquely), so serving and checking share one page
-evaluation — no second parse, and the network server can compute them
-from :class:`~repro.runtime.extractor.ExtractionRecord` batches without
-ever materializing a DOM on the event loop.
+Drift signals come from :func:`~repro.runtime.drift.drift_verdict`, the
+rule :class:`~repro.runtime.drift.DriftDetector` uses too, fed with the
+canonical paths of the extraction records (they identify nodes
+uniquely).  Serving and checking share one page evaluation — no second
+parse, and the network server computes signals from
+:class:`~repro.runtime.extractor.ExtractionRecord` batches without ever
+materializing a DOM on the event loop.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ from typing import Optional, Sequence
 
 from repro.cluster.placement import tenant_of
 from repro.runtime.artifact import WrapperArtifact
-from repro.runtime.drift import (
-    CANONICAL_CHANGE,
-    EMPTY_RESULT,
-    ENSEMBLE_DISAGREEMENT,
-    DriftConfig,
-)
+from repro.runtime.drift import DriftConfig, drift_verdict
 from repro.runtime.extractor import ExtractionRecord
 
 
@@ -88,35 +85,6 @@ def _vote(
             values[path] = value
     selected = sorted(path for path, count in votes.items() if count >= quorum)
     return tuple(selected), tuple(values[path] for path in selected)
-
-
-def signals_from_records(
-    artifact: WrapperArtifact,
-    best: ExtractionRecord,
-    members: Sequence[ExtractionRecord],
-    drift: Optional[DriftConfig] = None,
-) -> tuple[tuple[str, ...], int]:
-    """The drift signals one served page exhibits, plus the number of
-    disagreeing ensemble members.
-
-    Mirrors :meth:`repro.runtime.drift.DriftDetector.check` but works on
-    extraction records: empty result, canonical fingerprint moved off
-    the stored baseline, ensemble majority disagreeing with the best
-    query's node set.
-    """
-    drift = drift or DriftConfig()
-    signals: list[str] = []
-    if best.is_empty:
-        signals.append(EMPTY_RESULT)
-    elif tuple(sorted(best.paths)) != artifact.baseline_paths:
-        signals.append(CANONICAL_CHANGE)
-    best_set = frozenset(best.paths)
-    disagreeing = sum(
-        1 for record in members if frozenset(record.paths) != best_set
-    )
-    if members and disagreeing / len(members) >= drift.disagreement_threshold:
-        signals.append(ENSEMBLE_DISAGREEMENT)
-    return tuple(signals), disagreeing
 
 
 @dataclass(frozen=True)
@@ -325,10 +293,14 @@ def result_from_records(
     Shared by the local client and the network front-end so both
     backends produce byte-identical results for the same page.
     """
-    drift = drift or DriftConfig()
-    best, members = records[0], list(records[1 : 1 + len(artifact.ensemble)])
-    signals, _ = signals_from_records(artifact, best, members, drift)
-    hard = drift.hard_signals()
+    best, members = records[0], records[1 : 1 + len(artifact.ensemble)]
+    signals, drifted, _ = drift_verdict(
+        artifact,
+        frozenset(best.paths),
+        lambda: tuple(sorted(best.paths)),
+        [frozenset(record.paths) for record in members],
+        drift or DriftConfig(),
+    )
     mode = facade_mode(artifact)
     if mode == "ensemble":
         paths, values = _vote(members, artifact.quorum)
@@ -342,7 +314,7 @@ def result_from_records(
         query=artifact.best.text,
         queries=tuple(text for _, text in extraction_wrappers(artifact)),
         drift_signals=signals,
-        drifted=any(signal in hard for signal in signals),
+        drifted=drifted,
         generation=artifact.generation,
         records=tuple(dict(row) for row in record_rows),
     )
@@ -354,14 +326,18 @@ def check_from_records(
     drift: Optional[DriftConfig] = None,
 ) -> CheckResult:
     """Assemble a :class:`CheckResult` from the same extraction batch."""
-    drift = drift or DriftConfig()
-    best, members = records[0], list(records[1 : 1 + len(artifact.ensemble)])
-    signals, disagreeing = signals_from_records(artifact, best, members, drift)
-    hard = drift.hard_signals()
+    best, members = records[0], records[1 : 1 + len(artifact.ensemble)]
+    signals, drifted, disagreeing = drift_verdict(
+        artifact,
+        frozenset(best.paths),
+        lambda: tuple(sorted(best.paths)),
+        [frozenset(record.paths) for record in members],
+        drift or DriftConfig(),
+    )
     return CheckResult(
         site_key=artifact.task_id,
         signals=signals,
-        drifted=any(signal in hard for signal in signals),
+        drifted=drifted,
         result_count=best.count,
         disagreeing_members=disagreeing,
         member_count=len(members),
@@ -381,5 +357,4 @@ __all__ = [
     "facade_fields",
     "facade_mode",
     "result_from_records",
-    "signals_from_records",
 ]

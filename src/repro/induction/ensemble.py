@@ -186,13 +186,6 @@ class EnsembleWrapper:
         """Canonical texts of the members (the serializable form)."""
         return tuple(str(member) for member in self.members)
 
-    def member_results(self, doc: Document) -> list[list[Node]]:
-        """Each member's result set on ``doc`` (drift detectors compare them)."""
-        return [
-            doc.sort_nodes(list(evaluate_compiled(member, doc.root, doc)))
-            for member in self.members
-        ]
-
     def select(self, doc: Document) -> list[Node]:
         votes: dict[int, int] = {}
         nodes: dict[int, Node] = {}

@@ -13,8 +13,10 @@ This package provides that layer:
   many (wrapper, page) pairs with one parse + one document index per
   page and an optional process-pool fan-out;
 * :mod:`repro.runtime.drift` — drift detection (empty results,
-  canonical-path c-changes, ensemble disagreement votes) and automatic
-  re-induction from the stored samples plus the drifted page;
+  canonical-path c-changes, ensemble disagreement votes, all judged by
+  the one rule :func:`drift_verdict` that the facade's results use
+  too) and automatic re-induction from the stored samples plus the
+  drifted page;
 * :mod:`repro.runtime.store` — a :class:`ShardedArtifactStore`
   partitioning artifacts (and their drift-report JSONL streams) across
   shard directories by stable site-key hash, with atomic writes and an
@@ -22,9 +24,10 @@ This package provides that layer:
 * :mod:`repro.runtime.serve` — an asyncio request/response front-end
   over the per-page extraction kernel with micro-batching, a
   content-hash parse cache, and bounded-queue backpressure;
-* :mod:`repro.runtime.fleet` — a multi-process drift sweeper assigning
-  whole store shards to workers, streaming full drift telemetry and
-  chaining repairs generation over generation;
+* :mod:`repro.runtime.fleet` — the archive-replay loop
+  (:func:`sweep_wrapper`, which ``check`` runs too) and a multi-process
+  drift sweeper assigning whole store shards to workers, streaming full
+  drift telemetry and chaining repairs generation over generation;
 * :mod:`repro.runtime.net` — an HTTP/1.1 JSON front-end serving the
   :mod:`repro.api` facade over TCP (``serve --listen HOST:PORT``), with
   extraction traffic routed through the async serving layer and
@@ -49,8 +52,7 @@ from repro.runtime.drift import (
     DriftConfig,
     DriftDetector,
     DriftReport,
-    MaintenanceRecord,
-    maintain_over_archive,
+    drift_verdict,
     reinduce,
     replay_archive,
 )
@@ -112,7 +114,6 @@ __all__ = [
     "DriftDetector",
     "DriftReport",
     "ExtractionRecord",
-    "MaintenanceRecord",
     "MigrationMove",
     "MigrationPlan",
     "PageJob",
@@ -131,11 +132,11 @@ __all__ = [
     "WrapperHTTPServer",
     "WrapperSweep",
     "artifacts_from_path",
+    "drift_verdict",
     "extract_document",
     "extract_serial",
     "induce_corpus_task",
     "jobs_for_artifacts",
-    "maintain_over_archive",
     "migrate_directory",
     "migrate_store",
     "reinduce",

@@ -9,9 +9,9 @@ synthetic archive corpus:
 * ``extract`` — load artifacts, render a later snapshot of every
   covered site, and run the batch extraction engine over all
   (wrapper, page) pairs;
-* ``check`` — replay each wrapper across archive snapshots, report the
-  first drift (signals + snapshot), and optionally auto-repair by
-  re-induction from the stored samples;
+* ``check`` — replay each wrapper across archive snapshots on the
+  sweep's loop, report the first drift (signals + snapshot), and
+  optionally auto-repair by re-induction from the stored samples;
 * ``serve`` — run a per-wrapper request stream through the async
   serving layer (micro-batching + parse cache + backpressure) and
   report throughput;
@@ -22,10 +22,12 @@ synthetic archive corpus:
   epoch (atomic per-artifact cut-over, ``--dry-run`` move plan) so a
   cluster can change shape without restarts losing data.
 
-Exit codes (``check`` and ``sweep``): 0 = no drift detected; 1 = drift
-detected; 3 = drift detected and at least one repair failed (human
-re-annotation required).  2 is argparse's usage-error code.  ``sweep
---fail-on`` relaxes the gate for telemetry jobs that *expect* drift.
+Exit codes (``check`` and ``sweep``, one rule): 0 = no drift detected;
+1 = drift detected; 3 = drift detected and at least one repair failed
+(human re-annotation required).  2 = usage or setup error on every
+subcommand (a bad flag, no store, no artifacts, an unknown site), with
+the message on stderr.  ``sweep --fail-on`` relaxes the gate for
+telemetry jobs that *expect* drift.
 
 All output is deterministic for a fixed corpus seed, so the CLI doubles
 as a smoke harness.  See docs/RUNTIME.md for examples.
@@ -46,9 +48,9 @@ from repro.evolution.archive import SyntheticArchive
 from repro.induction import InductionConfig, WrapperInducer
 from repro.runtime.artifact import ArtifactError, WrapperArtifact
 from repro.runtime.corpus import induce_corpus_task
-from repro.runtime.drift import DriftConfig, DriftDetector, maintain_over_archive
+from repro.runtime.drift import DriftConfig, reinduce
 from repro.runtime.extractor import BatchExtractor, PageJob, jobs_for_artifacts
-from repro.runtime.fleet import SweepConfig, sweep_store
+from repro.runtime.fleet import SweepConfig, sweep_store, sweep_wrapper
 from repro.runtime.serve import ServingConfig, serve_jobs_sync
 from repro.runtime.store import (
     DEFAULT_SHARDS,
@@ -59,10 +61,41 @@ from repro.runtime.store import (
 )
 from repro.sites.corpus import CorpusTask, multi_node_tasks, single_node_tasks
 
-#: Exit codes shared by ``check`` and ``sweep`` (2 is argparse's).
+#: Exit codes shared by ``check`` and ``sweep`` (2 is argparse's, used
+#: for setup errors too — see :func:`main`).
 EXIT_OK = 0
 EXIT_DRIFT = 1
 EXIT_REPAIR_FAILED = 3
+
+
+def _exit_code(drifted: int, repair_failures: int, fail_on: str) -> int:
+    """The one ``check``/``sweep`` exit rule (``check`` is ``sweep
+    --fail-on drift``)."""
+    if repair_failures and fail_on in ("drift", "repair"):
+        return EXIT_REPAIR_FAILED
+    if drifted and fail_on == "drift":
+        return EXIT_DRIFT
+    return EXIT_OK
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_COUNT = _at_least(1)
+_INDEX = _at_least(0)  # snapshot indexes, epochs, 0-means-off limits
+_SNAPSHOTS = _at_least(2)  # snapshot 0 is the induction page
 
 
 def _corpus_tasks(include_multi: bool) -> list[CorpusTask]:
@@ -213,8 +246,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     artifacts = _load_artifacts(pathlib.Path(args.artifacts))
     specs = _site_specs(artifacts)
-    detector = DriftDetector(
-        DriftConfig(canonical_change_is_hard=args.strict_canonical)
+    config = SweepConfig(
+        n_snapshots=args.snapshots,
+        repair=False,
+        drift=DriftConfig(canonical_change_is_hard=args.strict_canonical),
     )
     drifted = repaired = failed = 0
     archives: dict[str, SyntheticArchive] = {}  # co-located tasks share
@@ -223,43 +258,33 @@ def cmd_check(args: argparse.Namespace) -> int:
         if archive is None:
             archive = SyntheticArchive(specs[artifact.site_id], n_snapshots=args.snapshots)
             archives[artifact.site_id] = archive
-        record = maintain_over_archive(
-            artifact,
-            archive,
-            snapshots=range(1, args.snapshots),
-            detector=detector,
-            repair=args.repair,
-        )
-        if not record.drifted:
-            print(f"ok    {artifact.task_id}: healthy over {len(record.checked)} snapshots")
+        outcome, _, _ = sweep_wrapper(artifact, archive, config)
+        if not outcome.drifted:
+            print(f"ok    {artifact.task_id}: healthy over {outcome.checked} snapshots")
             continue
         drifted += 1
-        signals = ",".join(record.drift_signals)
-        line = f"DRIFT {artifact.task_id} @ snapshot {record.drift_snapshot} [{signals}]"
+        (snapshot,) = outcome.drift_snapshots
+        line = f"DRIFT {artifact.task_id} @ snapshot {snapshot} [{','.join(outcome.signals)}]"
         if args.repair:
-            if record.repaired is not None:
+            try:
+                fixed = reinduce(artifact, archive.snapshot(snapshot), snapshot=snapshot)
+            except ArtifactError as exc:
+                failed += 1
+                line += f" -> repair failed: {exc}"
+            else:
                 repaired += 1
-                line += f" -> repaired (gen {record.repaired.generation}): {record.repaired.best.text}"
+                line += f" -> repaired (gen {fixed.generation}): {fixed.best.text}"
                 if args.out:
                     out = pathlib.Path(args.out)
                     out.mkdir(parents=True, exist_ok=True)
-                    record.repaired.save(out / record.repaired.filename())
-            else:
-                failed += 1
-                line += f" -> repair failed: {record.repair_error}"
+                    fixed.save(out / fixed.filename())
         print(line)
     print(
         f"\n{len(artifacts)} wrappers checked over {args.snapshots - 1} snapshots: "
         f"{drifted} drifted"
         + (f", {repaired} repaired, {failed} need re-annotation" if args.repair else "")
     )
-    # Exit non-zero on drift so CI jobs can gate on wrapper health
-    # (0 = healthy, 1 = drift, 3 = drift + failed repairs).
-    if failed:
-        return EXIT_REPAIR_FAILED
-    if drifted:
-        return EXIT_DRIFT
-    return EXIT_OK
+    return _exit_code(drifted, failed, "drift")
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
@@ -363,8 +388,6 @@ def cmd_serve_listen(args: argparse.Namespace) -> int:
     # store's recorded epoch is the natural default (a migrated store
     # carries its new epoch with it), a fresh registry starts at 0.
     if args.epoch is not None:
-        if args.epoch < 0:
-            raise SystemExit(f"--epoch must be >= 0, got {args.epoch}")
         epoch = args.epoch
     else:
         epoch = client.store.epoch if client.store is not None else 0
@@ -533,11 +556,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{summary.repair_failures} need re-annotation"
     )
     print(f"telemetry: {len(store.report_paths())} report streams under {store.root}")
-    if summary.repair_failures and args.fail_on in ("drift", "repair"):
-        return EXIT_REPAIR_FAILED
-    if summary.drifted and args.fail_on == "drift":
-        return EXIT_DRIFT
-    return EXIT_OK
+    return _exit_code(summary.drifted, summary.repair_failures, args.fail_on)
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
@@ -584,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes for check/sweep: 0 = no drift, 1 = drift detected, "
-            "3 = drift with failed repairs (2 is reserved for usage errors)"
+            "3 = drift with failed repairs; 2 = usage or setup error"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -595,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--store", help="sharded artifact store root")
     induce.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=None,
         help=(
             f"shard count when creating a new store (default: {DEFAULT_SHARDS}); "
@@ -608,23 +627,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="write artifacts into this tenant's namespace (tenant::task-id)",
     )
     induce.add_argument("--task", action="append", help="task id (repeatable); default: all")
-    induce.add_argument("--limit", type=int, default=None, help="max tasks")
+    induce.add_argument("--limit", type=_COUNT, default=None, help="max tasks")
     induce.add_argument("--multi", action="store_true", help="include multi-node tasks")
-    induce.add_argument("--k", type=int, default=10, help="K-best table size")
-    induce.add_argument("--ensemble-size", type=int, default=3)
+    induce.add_argument("--k", type=_COUNT, default=10, help="K-best table size")
+    induce.add_argument("--ensemble-size", type=_COUNT, default=3)
     induce.set_defaults(func=cmd_induce)
 
     extract = sub.add_parser("extract", help="batch-extract artifacts against a snapshot")
     extract.add_argument("--artifacts", required=True, help="artifact directory")
-    extract.add_argument("--snapshot", type=int, default=0, help="archive snapshot index")
-    extract.add_argument("--workers", type=int, default=1)
+    extract.add_argument("--snapshot", type=_INDEX, default=0, help="archive snapshot index")
+    extract.add_argument("--workers", type=_COUNT, default=1)
     extract.add_argument("--no-ensemble", action="store_true", help="top queries only")
     extract.add_argument("--json", help="write extraction records to this file")
     extract.set_defaults(func=cmd_extract)
 
     check = sub.add_parser("check", help="replay snapshots, report drift, optionally repair")
     check.add_argument("--artifacts", required=True, help="artifact directory")
-    check.add_argument("--snapshots", type=int, default=20, help="snapshots to replay")
+    check.add_argument("--snapshots", type=_SNAPSHOTS, default=20, help="snapshots to replay")
     check.add_argument("--repair", action="store_true", help="auto re-induce on drift")
     check.add_argument("--out", help="directory for repaired artifacts")
     check.add_argument(
@@ -668,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=None,
         help=(
             "total shard count --own-shards is relative to (default: the "
@@ -685,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--epoch",
-        type=int,
+        type=_INDEX,
         default=None,
         help=(
             "with --listen: the placement epoch this host serves at, "
@@ -715,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--burst",
-        type=int,
+        type=_INDEX,
         default=0,
         metavar="N",
         help=(
@@ -725,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight",
-        type=int,
+        type=_INDEX,
         default=0,
         metavar="N",
         help=(
@@ -735,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--limiter-tenants",
-        type=int,
+        type=_COUNT,
         default=1024,
         metavar="N",
         help=(
@@ -752,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(tenant, verb, status, latency_ms)"
         ),
     )
-    serve.add_argument("--snapshot", type=int, default=0, help="archive snapshot index")
-    serve.add_argument("--concurrency", type=int, default=8, help="client concurrency")
-    serve.add_argument("--max-pending", type=int, default=64, help="admission queue bound")
+    serve.add_argument("--snapshot", type=_INDEX, default=0, help="archive snapshot index")
+    serve.add_argument("--concurrency", type=_COUNT, default=8, help="client concurrency")
+    serve.add_argument("--max-pending", type=_COUNT, default=64, help="admission queue bound")
     serve.add_argument("--no-ensemble", action="store_true", help="top queries only")
     serve.add_argument("--json", help="write serving stats to this file")
     serve.set_defaults(func=cmd_serve)
@@ -763,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="multi-process drift sweep over a sharded store"
     )
     sweep.add_argument("--store", required=True, help="sharded artifact store root")
-    sweep.add_argument("--snapshots", type=int, default=20, help="snapshots to replay")
-    sweep.add_argument("--workers", type=int, default=1, help="sweep processes")
+    sweep.add_argument("--snapshots", type=_SNAPSHOTS, default=20, help="snapshots to replay")
+    sweep.add_argument("--workers", type=_COUNT, default=1, help="sweep processes")
     sweep.add_argument(
         "--no-repair", action="store_true", help="detect only, do not re-induce"
     )
@@ -795,13 +814,13 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--dest", required=True, help="destination store root")
     migrate.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=None,
         help="destination shard count (default: same as the source store)",
     )
     migrate.add_argument(
         "--epoch",
-        type=int,
+        type=_INDEX,
         default=None,
         help=(
             "destination placement epoch (default: source epoch + 1; "
@@ -819,7 +838,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemExit as exc:
+        if not isinstance(exc.code, str):
+            raise
+        # A setup error (no artifacts, not a store, an unknown site, ...)
+        # exits like a usage error, so exit 1 always means drift.
+        print(exc.code, file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

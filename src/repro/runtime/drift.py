@@ -21,6 +21,13 @@ ever raised.  The detector watches three signals on every served page:
   robust wrapper is *supposed* to absorb it — the signal is recorded
   for monitoring but does not alone flag drift.
 
+:func:`drift_verdict` is the one place these rules live.  Two callers
+feed it result sets keyed differently, each the cheap key for what it
+already holds: :class:`DriftDetector` (the ``check``/``sweep`` replay
+loop and the lead-time study) uses node ids from the DOM, and the
+facade and network server (:mod:`repro.api.results`) use the canonical
+paths of their extraction records.
+
 On drift, :func:`reinduce` rebuilds the wrapper from the artifact's
 stored samples plus the drifted page: labels for the new page come from
 the surviving ensemble majority (or an explicit re-annotation), and the
@@ -30,8 +37,8 @@ multi-sample aggregation of Algorithm 3 then favors queries accurate on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, AbstractSet, Callable, Optional, Sequence
 
 from repro.dom.node import Document, Node
 from repro.induction.induce import WrapperInducer
@@ -90,6 +97,35 @@ class DriftReport:
         return not self.signals
 
 
+def drift_verdict(
+    artifact: WrapperArtifact,
+    result: AbstractSet,
+    sorted_paths: Callable[[], tuple[str, ...]],
+    members: Sequence[AbstractSet],
+    config: DriftConfig,
+) -> tuple[tuple[str, ...], bool, int]:
+    """The drift rules: ``(signals, drifted, disagreeing members)`` for
+    one evaluation of ``artifact`` on a page.
+
+    ``result`` is the top query's result set and ``members`` each
+    ensemble member's, all keyed the same way — node ids when the
+    caller holds the DOM (:class:`DriftDetector`), canonical paths when
+    it holds extraction records (the facade and the network server).
+    ``sorted_paths`` yields the top query's sorted canonical paths and
+    is called only when ``result`` is non-empty.
+    """
+    signals: list[str] = []
+    if not result:
+        signals.append(EMPTY_RESULT)
+    elif sorted_paths() != artifact.baseline_paths:
+        signals.append(CANONICAL_CHANGE)
+    disagreeing = sum(1 for member in members if member != result)
+    if members and disagreeing / len(members) >= config.disagreement_threshold:
+        signals.append(ENSEMBLE_DISAGREEMENT)
+    hard = config.hard_signals()
+    return tuple(signals), any(signal in hard for signal in signals), disagreeing
+
+
 class DriftDetector:
     """Check deployed wrappers for drift on served pages."""
 
@@ -102,33 +138,26 @@ class DriftDetector:
         doc: Document,
         snapshot: Optional[int] = None,
     ) -> DriftReport:
-        signals: list[str] = []
         result = evaluate_compiled(artifact.best_query(), doc.root, doc)
-        if not result:
-            signals.append(EMPTY_RESULT)
-        elif canonical_key(result) != artifact.baseline_paths:
-            signals.append(CANONICAL_CHANGE)
-
-        ensemble = artifact.ensemble_wrapper()
-        result_ids = doc.node_ids(iter(result))
-        disagreeing = sum(
-            1
-            for members in ensemble.member_results(doc)
-            if doc.node_ids(iter(members)) != result_ids
+        member_ids = [
+            doc.node_ids(iter(evaluate_compiled(member, doc.root, doc)))
+            for member in artifact.ensemble_wrapper().members
+        ]
+        signals, drifted, disagreeing = drift_verdict(
+            artifact,
+            doc.node_ids(iter(result)),
+            lambda: canonical_key(result),
+            member_ids,
+            self.config,
         )
-        member_count = len(ensemble.members)
-        if member_count and disagreeing / member_count >= self.config.disagreement_threshold:
-            signals.append(ENSEMBLE_DISAGREEMENT)
-
-        hard = self.config.hard_signals()
         return DriftReport(
             task_id=artifact.task_id,
-            signals=tuple(signals),
-            drifted=any(signal in hard for signal in signals),
+            signals=signals,
+            drifted=drifted,
             snapshot=snapshot,
             result_count=len(result),
             disagreeing_members=disagreeing,
-            member_count=member_count,
+            member_count=len(member_ids),
         )
 
 
@@ -193,22 +222,6 @@ def reinduce(
     return repaired
 
 
-@dataclass
-class MaintenanceRecord:
-    """Outcome of replaying one wrapper across archive snapshots."""
-
-    task_id: str
-    checked: list[DriftReport] = field(default_factory=list)
-    drift_snapshot: Optional[int] = None
-    drift_signals: tuple[str, ...] = ()
-    repaired: Optional[WrapperArtifact] = None
-    repair_error: str = ""
-
-    @property
-    def drifted(self) -> bool:
-        return self.drift_snapshot is not None
-
-
 def replay_archive(
     artifact: WrapperArtifact,
     archive: "SyntheticArchive",
@@ -217,14 +230,14 @@ def replay_archive(
 ) -> list[DriftReport]:
     """Run the detector over every snapshot — no early stop, no repair.
 
-    :func:`maintain_over_archive` answers the *operational* question
-    ("when do I first have to act?") and stops at the first hard drift.
-    Lead-time studies (:mod:`repro.sitegen.study`) need the *full*
-    signal trace instead: every report, healthy or not, so the distance
-    between a scripted break snapshot and the first signal — and any
-    false alarms before it — can be measured.  Broken archive captures
-    are skipped, exactly as in maintenance (an erroneous capture says
-    nothing about the wrapper).
+    :func:`repro.runtime.fleet.sweep_wrapper` answers the *operational*
+    question ("when do I first have to act?") and stops or repairs at
+    each hard drift.  Lead-time studies (:mod:`repro.sitegen.study`)
+    need the *full* signal trace instead: every report, healthy or not,
+    so the distance between a scripted break snapshot and the first
+    signal — and any false alarms before it — can be measured.  Broken
+    archive captures are skipped, exactly as in the sweep (an erroneous
+    capture says nothing about the wrapper).
     """
     detector = detector or DriftDetector()
     reports: list[DriftReport] = []
@@ -234,41 +247,3 @@ def replay_archive(
         doc = archive.snapshot(index)
         reports.append(detector.check(artifact, doc, snapshot=index))
     return reports
-
-
-def maintain_over_archive(
-    artifact: WrapperArtifact,
-    archive: "SyntheticArchive",
-    snapshots: Sequence[int],
-    detector: Optional[DriftDetector] = None,
-    repair: bool = True,
-    inducer: Optional[WrapperInducer] = None,
-) -> MaintenanceRecord:
-    """Replay snapshots until the wrapper drifts; optionally repair it.
-
-    Broken archive captures are skipped (an erroneous snapshot says
-    nothing about the wrapper).  The replay stops at the first hard
-    drift; with ``repair=True`` an automatic re-induction from the
-    stored samples against that snapshot is attempted, labels coming
-    from the ensemble vote.
-    """
-    detector = detector or DriftDetector()
-    record = MaintenanceRecord(task_id=artifact.task_id)
-    for index in snapshots:
-        if archive.is_broken(index):
-            continue
-        doc = archive.snapshot(index)
-        report = detector.check(artifact, doc, snapshot=index)
-        record.checked.append(report)
-        if report.drifted:
-            record.drift_snapshot = index
-            record.drift_signals = report.signals
-            if repair:
-                try:
-                    record.repaired = reinduce(
-                        artifact, doc, inducer=inducer, snapshot=index
-                    )
-                except ArtifactError as exc:
-                    record.repair_error = str(exc)
-            break
-    return record

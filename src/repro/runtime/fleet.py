@@ -1,7 +1,8 @@
 """Multi-process drift-check fleet over a sharded artifact store.
 
-``python -m repro.runtime check`` replays one artifact directory in one
-process and stops each wrapper at its *first* drift.  The fleet is the
+:func:`sweep_wrapper` is the one archive-replay loop.  ``python -m
+repro.runtime check`` runs it in one process over an artifact directory
+and stops each wrapper at its *first* drift.  The fleet is the
 continuous-operations version of that loop:
 
 * **sharded work assignment** — each worker process owns whole store
@@ -24,8 +25,9 @@ continuous-operations version of that loop:
   the new generation cleanly).
 
 Workers rebuild the synthetic corpus locally by site id — site specs
-hold closures and do not pickle; only paths, ints, and result dicts
-cross process boundaries.
+hold closures and do not pickle; only paths, the config, frozen
+:class:`WrapperSweep` outcomes and unknown-site messages cross process
+boundaries.
 """
 
 from __future__ import annotations
@@ -187,29 +189,26 @@ def _site_archives() -> dict:
 
 def _sweep_shards(
     store_root: str, shard_indexes: Sequence[int], config: SweepConfig
-) -> list[dict]:
+) -> tuple[list[WrapperSweep], list[str]]:
     """Worker: sweep every wrapper in the assigned shards.
 
     Owns its shards end to end — appends the telemetry streams and puts
     repaired generations back itself (both are shard-local files, and
-    ``put`` publishes atomically), returning only plain-dict outcomes.
+    ``put`` publishes atomically).  Returns the outcomes and one message
+    per wrapper whose site the corpus does not know.
     """
     store = ShardedArtifactStore(store_root)
     specs = _site_archives()
     detector = DriftDetector(config.drift)
     archives: dict[str, SyntheticArchive] = {}
-    out: list[dict] = []
+    outcomes: list[WrapperSweep] = []
+    errors: list[str] = []
     for shard in shard_indexes:
         for task_id in store.shard_task_ids(shard):
             artifact = store.get(task_id)
             spec = specs.get(artifact.site_id)
             if spec is None:
-                out.append(
-                    {
-                        "task_id": task_id,
-                        "error": f"unknown site id {artifact.site_id!r}",
-                    }
-                )
+                errors.append(f"{task_id}: unknown site id {artifact.site_id!r}")
                 continue
             archive = archives.get(artifact.site_id)
             if archive is None:
@@ -221,19 +220,8 @@ def _sweep_shards(
             store.append_reports(task_id, lines)
             if repaired is not None:
                 store.put(repaired)
-            out.append(
-                {
-                    "task_id": outcome.task_id,
-                    "site_id": outcome.site_id,
-                    "checked": outcome.checked,
-                    "drift_snapshots": list(outcome.drift_snapshots),
-                    "signals": list(outcome.signals),
-                    "final_generation": outcome.final_generation,
-                    "repairs": outcome.repairs,
-                    "repair_error": outcome.repair_error,
-                }
-            )
-    return out
+            outcomes.append(outcome)
+    return outcomes, errors
 
 
 def _assign_shards(n_shards: int, workers: int) -> list[list[int]]:
@@ -262,32 +250,23 @@ def sweep_store(
     root = str(store.root)
     groups = _assign_shards(store.n_shards, config.workers)
     if len(groups) <= 1:
-        rows = _sweep_shards(root, groups[0] if groups else [], config)
+        parts = [_sweep_shards(root, groups[0] if groups else [], config)]
     else:
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            parts = pool.map(
-                _sweep_shards, [root] * len(groups), groups, [config] * len(groups)
+            parts = list(
+                pool.map(
+                    _sweep_shards,
+                    [root] * len(groups),
+                    groups,
+                    [config] * len(groups),
+                )
             )
-            rows = [row for part in parts for row in part]
-    errors = [row for row in rows if "error" in row]
+    errors = [error for _, part_errors in parts for error in part_errors]
     if errors:
-        detail = "; ".join(f"{row['task_id']}: {row['error']}" for row in errors)
-        raise StoreError(f"sweep aborted: {detail}")
+        raise StoreError(f"sweep aborted: {'; '.join(errors)}")
     wrappers = tuple(
         sorted(
-            (
-                WrapperSweep(
-                    task_id=row["task_id"],
-                    site_id=row["site_id"],
-                    checked=row["checked"],
-                    drift_snapshots=tuple(row["drift_snapshots"]),
-                    signals=tuple(row["signals"]),
-                    final_generation=row["final_generation"],
-                    repairs=row["repairs"],
-                    repair_error=row["repair_error"],
-                )
-                for row in rows
-            ),
+            (outcome for outcomes, _ in parts for outcome in outcomes),
             key=lambda w: w.task_id,
         )
     )

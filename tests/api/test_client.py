@@ -192,18 +192,49 @@ class TestDriftAndRepair:
         assert check.result_count == 0
 
     def test_check_matches_the_runtime_drift_detector(self):
-        """Facade signals are computed from extraction records; they
-        must agree with the DOM-level DriftDetector verdicts."""
-        client = WrapperClient()
-        client.induce("shop/price", [price_sample()])
-        artifact = client.artifact("shop/price")
-        detector = DriftDetector()
-        for page in (PRICE_V1, PRICE_V2):
-            check = client.check("shop/price", page)
-            report = detector.check(artifact, parse_html(page))
-            assert check.drifted == report.drifted
-            assert set(check.signals) == set(report.signals)
-            assert check.result_count == report.result_count
+        """Facade checks feed the drift rule canonical paths from
+        extraction records, the DOM-level DriftDetector feeds it node
+        ids; both verdicts must agree field for field.  Inputs: the price
+        pages, and corpus archives that break (weather-1, video-2,
+        forum-1) or churn positionally (movies-0) over snapshots 1-15,
+        under the default and the strict canonical-change config."""
+        from repro.evolution import SyntheticArchive
+        from repro.runtime.drift import DriftConfig
+        from repro.sites import single_node_tasks
+
+        inducer = WrapperClient()
+        inducer.induce("shop/price", [price_sample()])
+        cases = [
+            ("shop/price", [parse_html(page) for page in (PRICE_V1, PRICE_V2, PRICE_GONE)])
+        ]
+        tasks = {task.task_id: task for task in single_node_tasks()}
+        for task_id in ("weather-1/temp", "video-2/title", "forum-1/compose", "movies-0/director"):
+            corpus_task = tasks[task_id]
+            archive = SyntheticArchive(corpus_task.spec, n_snapshots=16)
+            doc0 = archive.snapshot(0)
+            targets = archive.targets(doc0, corpus_task.task.role)
+            inducer.induce(task_id, [Sample(doc0, targets)], role=corpus_task.task.role)
+            pages = [archive.snapshot(i) for i in range(1, 16) if not archive.is_broken(i)]
+            cases.append((task_id, pages))
+
+        fields = ("signals", "drifted", "result_count", "disagreeing_members", "member_count")
+        seen: set[tuple[str, ...]] = set()
+        for drift in (DriftConfig(), DriftConfig(canonical_change_is_hard=True)):
+            client = WrapperClient(drift=drift)
+            detector = DriftDetector(drift)
+            for site_key, pages in cases:
+                artifact = inducer.artifact(site_key)
+                client.deploy(artifact)
+                for index, page in enumerate(pages):
+                    check = client.check(site_key, page)
+                    report = detector.check(artifact, page)
+                    assert [getattr(check, name) for name in fields] == [
+                        getattr(report, name) for name in fields
+                    ], f"{site_key} page {index} under {drift}"
+                    seen.add(report.signals)
+        # The inputs reach healthy pages, the soft signal alone, and
+        # both hard signals together.
+        assert {(), ("canonical_change",), ("empty_result", "ensemble_disagreement")} <= seen
 
     def test_explicit_reannotation_repair(self):
         client = WrapperClient()

@@ -207,6 +207,27 @@ class TestFacadeContract:
         with pytest.raises(FacadeError):
             client.induce("parity/bad", [price_sample()], mode="magic")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("k", "abc"),
+            ("k", None),
+            ("k", 2.5),
+            ("k", True),
+            ("k", 0),
+            ("ensemble_size", 0),
+            ("ensemble_size", -1),
+            ("max_queries", -1),
+        ],
+    )
+    def test_invalid_induce_size_raises_facade_error(self, client, name, value):
+        """A size that is a bool, not an int, or below 1 is refused
+        before any work — never a raw TypeError, never a silently
+        clamped or truncated wrapper."""
+        with pytest.raises(FacadeError, match=name):
+            client.induce("parity/sizes", [price_sample()], **{name: value})
+        assert "parity/sizes" not in client
+
     def test_cross_document_sample_raises_facade_error(self, client):
         """A target from a different parse of the page is a bad
         annotation — FacadeError on every backend, never a raw

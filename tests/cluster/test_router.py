@@ -347,7 +347,7 @@ class TestTenantIsolation:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert "invalid tenant" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -371,7 +371,7 @@ class TestTenantIsolation:
                 capture_output=True,
                 text=True,
             )
-            assert proc.returncode == 1
+            assert proc.returncode == 2
             assert "requires --listen" in proc.stderr
             assert "Traceback" not in proc.stderr
 

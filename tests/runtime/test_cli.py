@@ -70,9 +70,11 @@ class TestExtract:
         assert {"page_id", "wrapper_id", "paths", "values"} <= records[0].keys()
         assert "(wrapper, page) pairs" in capsys.readouterr().out
 
-    def test_empty_artifact_dir_fails(self, tmp_path):
-        with pytest.raises(SystemExit, match="no artifacts"):
+    def test_empty_artifact_dir_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["extract", "--artifacts", str(tmp_path / "nothing_here")])
+        assert exit_info.value.code == 2
+        assert "no artifacts" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -165,7 +167,7 @@ class TestStoreWorkflow:
         assert store.n_shards == 4
         assert len(store.task_ids()) == 2
 
-    def test_conflicting_shards_flag_is_a_clean_error(self, tmp_path):
+    def test_conflicting_shards_flag_is_a_clean_error(self, tmp_path, capsys):
         root = tmp_path / "s2"
         assert (
             main(
@@ -174,11 +176,13 @@ class TestStoreWorkflow:
             )
             == 0
         )
-        with pytest.raises(SystemExit, match="re-sharding"):
+        with pytest.raises(SystemExit) as exit_info:
             main(
                 ["induce", "--store", str(root), "--shards", "8",
                  "--task", "academic-1/scholar"]
             )
+        assert exit_info.value.code == 2
+        assert "re-sharding" in capsys.readouterr().err
 
     def test_out_and_store_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -256,9 +260,11 @@ class TestServeListen:
         created = _client_for_listen(str(tmp_path / "new-store"))
         assert created.store is not None and len(created) == 0
 
-    def test_serve_without_artifacts_or_listen_fails(self):
-        with pytest.raises(SystemExit, match="--artifacts"):
+    def test_serve_without_artifacts_or_listen_fails(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["serve"])
+        assert exit_info.value.code == 2
+        assert "--artifacts" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -283,6 +289,43 @@ class TestSweep:
         )
         assert rc == EXIT_OK
 
-    def test_sweep_requires_a_store(self, tmp_path):
-        with pytest.raises(SystemExit, match="not a sharded artifact store"):
+    def test_sweep_requires_a_store(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--store", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "not a sharded artifact store" in capsys.readouterr().err
+
+
+#: Usage and setup errors, each with the message it must print: exit 2
+#: before any work, never a traceback, a silently wrong run, or the
+#: drift exit code 1.
+BAD_INVOCATIONS = [
+    (["sweep", "--store", "{tmp}", "--snapshots", "1"], "--snapshots: must be >= 2"),
+    (["sweep", "--store", "{tmp}", "--workers", "0"], "--workers: must be >= 1"),
+    (["check", "--artifacts", "{tmp}", "--snapshots", "0"], "--snapshots: must be >= 2"),
+    (["check", "--artifacts", "{tmp}", "--snapshots", "1"], "--snapshots: must be >= 2"),
+    (["extract", "--artifacts", "{tmp}", "--workers", "0"], "--workers: must be >= 1"),
+    (["extract", "--artifacts", "{tmp}", "--snapshot", "-1"], "--snapshot: must be >= 0"),
+    (["serve", "--artifacts", "{tmp}", "--max-pending", "0"], "--max-pending: must be >= 1"),
+    (["serve", "--artifacts", "{tmp}", "--concurrency", "0"], "--concurrency: must be >= 1"),
+    (["serve", "--listen", "127.0.0.1:0", "--epoch", "-1"], "--epoch: must be >= 0"),
+    (["induce", "--out", "{tmp}", "--k", "0"], "--k: must be >= 1"),
+    (["induce", "--out", "{tmp}", "--limit", "-1"], "--limit: must be >= 1"),
+    (["induce", "--out", "{tmp}", "--ensemble-size", "0"], "--ensemble-size: must be >= 1"),
+    (["induce", "--out", "{tmp}", "--k", "ten"], "--k: invalid int value: 'ten'"),
+    (["migrate", "--store", "{tmp}", "--dest", "{tmp}", "--shards", "0"], "--shards: must be >= 1"),
+    (["check", "--artifacts", "{tmp}"], "no artifacts found"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    BAD_INVOCATIONS,
+    ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in BAD_INVOCATIONS],
+)
+def test_usage_and_setup_errors_exit_2(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing was written

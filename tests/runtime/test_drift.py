@@ -194,7 +194,7 @@ class TestReinduce:
 
     def test_explicit_empty_labels_raise_artifact_error(self):
         """An empty re-annotation must fail with the documented error type,
-        not leak QuerySample's ValueError past maintain_over_archive."""
+        not leak QuerySample's ValueError past the repair loop."""
         artifact, archive, _ = induce_artifact("movies-0/director", 1)
         with pytest.raises(ArtifactError, match="re-annotation"):
             reinduce(artifact, archive.snapshot(0), targets=[])

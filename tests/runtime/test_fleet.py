@@ -1,12 +1,19 @@
 """Drift-check fleet: shard assignment, telemetry streams, repair
-chains, and multi-process sweeps over a sharded store."""
+chains, multi-process sweeps over a sharded store, and the abort on a
+store/corpus mismatch."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.evolution import SyntheticArchive
 from repro.runtime import (
     DriftConfig,
     ShardedArtifactStore,
+    StoreError,
     SweepConfig,
     WrapperArtifact,
     induce_corpus_task,
@@ -154,3 +161,55 @@ class TestSweepStore:
             SweepConfig(n_snapshots=1)
         with pytest.raises(ValueError):
             SweepConfig(workers=0)
+
+
+@pytest.fixture
+def mismatched_store(tmp_path):
+    """A corpus wrapper next to a facade-induced ``shop/price``, whose
+    site ``shop`` the corpus does not know."""
+    from repro import Sample, WrapperClient, mark_volatile, parse_html
+    from tests.api.pages import PRICE_V1
+
+    store = ShardedArtifactStore(tmp_path / "mixed", n_shards=4)
+    _, artifact = _artifact_for("academic-0/scholar")
+    store.put(artifact)
+    doc = parse_html(PRICE_V1)
+    target = doc.find(tag="span", class_="price")
+    mark_volatile(target)
+    WrapperClient(store=store).induce("shop/price", [Sample(doc, [target])])
+    return store
+
+
+class TestSweepAbort:
+    MESSAGE = "sweep aborted: shop/price: unknown site id 'shop'"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_site_aborts_the_sweep(self, mismatched_store, workers):
+        with pytest.raises(StoreError) as error:
+            sweep_store(mismatched_store, SweepConfig(n_snapshots=3, workers=workers))
+        assert str(error.value) == self.MESSAGE
+        # Every worker finished first: the known wrapper was swept.
+        assert mismatched_store.read_reports("academic-0/scholar")
+
+    def test_cli_sweep_exits_2_with_the_message(self, mismatched_store):
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.runtime",
+                "sweep",
+                "--store",
+                str(mismatched_store.root),
+                "--snapshots",
+                "3",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == self.MESSAGE
