@@ -7,12 +7,12 @@ single-node corpus fleet into one sharded store, then serves the same
 batch-extraction stream two ways over real localhost TCP:
 
 * **single host** — one ``serve --listen`` subprocess owning every
-  shard, driven by ``RemoteWrapperClient.extract_many`` at concurrency
-  ``CONCURRENCY`` (pipelined per-thread connections);
+  shard, driven by ``RemoteWrapperClient.extract_many`` (the batch as
+  body-limited ``/extract_many`` requests);
 * **2-host router** — two ``serve --listen --own-shards`` subprocesses
   over disjoint shard halves behind a :class:`~repro.RouterClient`,
-  ``extract_many`` fanned out across both hosts at the *same total*
-  concurrency (``CONCURRENCY/2`` pipelined per host).
+  ``extract_many`` fanned out across both hosts (each host's slice as
+  its own ``/extract_many`` requests, both hosts at once).
 
 The headline ratio ``router2_vs_single_host`` is gated at ≥ 1.4× — but
 only on hosts with ≥ 2 CPUs: the win *is* process-level parallelism
@@ -22,8 +22,7 @@ JSON so a reader can tell which regime produced the number.
 
 The failover PR adds a second headline, ``degraded_ratio``: the same
 stream through a **replicated 3-host** cluster with one host
-SIGKILL-ed (2-of-3) versus all hosts up (3-of-3), at equal client
-concurrency.  Replication is supposed to turn a host loss into a
+SIGKILL-ed (2-of-3) versus all hosts up (3-of-3), through one router.  Replication is supposed to turn a host loss into a
 capacity dip, not an outage — the ratio quantifies the dip and is
 floored at ≥ 0.35 under the same ``cpus >= 2`` self-arming gate.
 
@@ -56,9 +55,6 @@ REQUIRED_SPEEDUP = 1.4
 #: vs. all three up.  Losing a third of the fleet may cost capacity but
 #: must not collapse serving (breaker + failover overhead included).
 REQUIRED_DEGRADED_RATIO = 0.35
-
-#: Total client-side in-flight requests (split across hosts for the router).
-CONCURRENCY = 16
 
 N_SHARDS = 8
 
@@ -112,11 +108,11 @@ def test_cluster_bench(benchmark, emit):
 
             def single_run():
                 with RemoteWrapperClient(single_host) as client:
-                    return client.extract_many(items, concurrency=CONCURRENCY)
+                    return client.extract_many(items)
 
             def router_run():
                 with RouterClient(cluster_map) as router:
-                    return router.extract_many(items, concurrency=CONCURRENCY // 2)
+                    return router.extract_many(items)
 
             # Correctness first: routing across 2 hosts answers exactly
             # what the single host answers, byte for byte, in order.
@@ -146,9 +142,7 @@ def test_cluster_bench(benchmark, emit):
             )
 
             def replicated_run():
-                return replicated_router.extract_many(
-                    items, concurrency=max(CONCURRENCY // 3, 1)
-                )
+                return replicated_router.extract_many(items)
 
             def assert_replicated_matches():
                 assert [r.to_payload() for r in replicated_run()] == expected
@@ -163,7 +157,6 @@ def test_cluster_bench(benchmark, emit):
                     "n_wrappers": len(artifacts),
                     "n_requests": len(items),
                     "n_shards": N_SHARDS,
-                    "concurrency": CONCURRENCY,
                     "cpus": cpus,
                     "single_host_s": timeit(single_run, repeat=2),
                     "router2_s": timeit(router_run, repeat=2),
@@ -216,7 +209,7 @@ def test_cluster_bench(benchmark, emit):
         assert throughput["router2_vs_single_host"] >= REQUIRED_SPEEDUP, (
             f"2-host routed extract_many is only "
             f"{throughput['router2_vs_single_host']:.2f}x one serving host "
-            f"at total concurrency {CONCURRENCY} (required: {REQUIRED_SPEEDUP}x)"
+            f"(required: {REQUIRED_SPEEDUP}x)"
         )
         assert throughput["degraded_ratio"] >= REQUIRED_DEGRADED_RATIO, (
             f"losing 1 of 3 replicated hosts collapsed throughput to "

@@ -190,10 +190,10 @@ def inprocess_serving(
 
 
 def bulk_extract(address, requests) -> list:
-    """The whole stream as one ``/extract_many`` request."""
+    """The whole stream as one ``extract_many`` batch."""
     host, port = address
     with RemoteWrapperClient(host, port) as remote:
-        return remote.extract_many(requests, wire="bulk")
+        return remote.extract_many(requests)
 
 
 def test_net_bench(benchmark, emit):
@@ -207,7 +207,7 @@ def test_net_bench(benchmark, emit):
     with ServerThread(client) as server:
         # Correctness first: the concurrent stream answers exactly what
         # the serial round trips answer, request for request — and so
-        # does the bulk wire mode, slot for slot.
+        # does one extract_many batch, slot for slot.
         expected = serial_http(server.address, requests)
         concurrent = concurrent_http(server.address, requests)
         assert concurrent == expected

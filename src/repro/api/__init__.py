@@ -27,9 +27,9 @@ CLI, network front-end, benchmarks — converges on:
   store, the hosts, and the router place keys with.
 
 All three clients take a ``tenant`` namespace and grow an
-``extract_many`` batch verb (parse-amortized locally, pipelined over
-per-thread connections remotely, fanned out across hosts by the
-router).
+``extract_many`` batch verb (parse-amortized locally, sent as
+body-limited ``/extract_many`` requests remotely, fanned out across
+hosts by the router).
 
 Quickstart::
 

@@ -344,12 +344,7 @@ class WrapperClient:
         return result_from_records(artifact, records, self.drift, rows)
 
     def extract_many(
-        self,
-        items: Sequence[tuple[str, Page]],
-        *,
-        concurrency: int = 1,
-        return_errors: bool = False,
-        wire: str = "pipeline",
+        self, items: Sequence[tuple[str, Page]], *, return_errors: bool = False
     ) -> list:
         """Serve a batch of ``(site_key, page)`` pairs in item order.
 
@@ -357,19 +352,10 @@ class WrapperClient:
         (co-served wrappers on one rendered page amortize the parse,
         as the serving layer does).  With ``return_errors`` a failed
         item yields its exception in place; otherwise the first failure
-        raises after the batch drains.  The remote and router clients
-        expose the same method with the same semantics, fanned out over
-        connections and hosts; ``concurrency`` is accepted for drop-in
-        interchangeability with them (local extraction is synchronous —
-        in-process work is CPU-bound, so threads would add nothing);
-        ``wire`` likewise names the networked backends' transport modes
-        (``"pipeline"``/``"bulk"``).  Both are validated exactly as the
-        networked backends validate them and change nothing in process.
+        raises.  The remote and router clients expose the same method
+        with the same semantics, sent as ``/extract_many`` requests to
+        one host or fanned out across hosts.
         """
-        if concurrency < 1:
-            raise FacadeError("extract_many concurrency must be >= 1")
-        if wire not in ("pipeline", "bulk"):
-            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
         results: list = [None] * len(items)
         docs: dict[str, Document] = {}
         for index, (site_key, page) in enumerate(items):

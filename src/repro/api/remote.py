@@ -19,8 +19,9 @@ seconds while a long induction on a live host is still given minutes.
 
 A connection is not thread-safe — give each thread its own client
 (they are cheap: lazy connect, no state beyond the socket).
-:meth:`extract_many` does exactly that internally, pipelining a batch
-through a small pool of per-thread connections to this one host.
+:meth:`extract_many` sends a batch over this one connection as
+``POST /extract_many`` requests, each packed under
+:data:`~repro.api.results.MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ import dataclasses
 import http.client
 import json
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 from urllib.parse import quote
 
@@ -45,6 +44,7 @@ from repro.dom.node import Document
 from repro.dom.serialize import to_html
 from repro.induction.samples import QuerySample
 from repro.api.results import (
+    MAX_BODY_BYTES,
     CheckResult,
     ExtractionResult,
     FacadeError,
@@ -54,15 +54,48 @@ from repro.api.sample import Sample, coerce_samples
 
 Page = Union[str, Document]
 
-#: How many times ``extract_many`` requeues a 429'd item before its
-#: :class:`RateLimitError` surfaces, and the cap on how long one
-#: Retry-After hint may stall a worker thread.
+#: How many times ``extract_many`` resends its 429'd items before their
+#: :class:`RateLimitError` stands, and the cap on how long one round's
+#: Retry-After hint may stall the batch.
 _RATE_LIMIT_RETRIES = 3
 _RATE_LIMIT_WAIT_CAP_S = 2.0
+
+#: Connect-phase failures (refused, unreachable, timeout before a byte
+#: is exchanged) are retried this many times in all, with jittered
+#: exponential backoff from the base delay up to the cap — they cannot
+#: double-execute anything.  Read-phase failures stay no-retry (see
+#: ``_request``).
+_CONNECT_ATTEMPTS = 3
+_CONNECT_BACKOFF_S = 0.05
+_CONNECT_BACKOFF_CAP_S = 1.0
+
+#: The ``/extract_many`` body around its comma-separated encoded items
+#: (``json.dumps``'s default separators).
+_BATCH_HEAD = b'{"items": ['
+_BATCH_SEP = b", "
+_BATCH_TAIL = b"]}"
 
 
 def _as_html(page: Page) -> str:
     return to_html(page) if isinstance(page, Document) else page
+
+
+def _pack(indexes: list[int], encoded: dict[int, bytes]):
+    """Greedy runs of ``indexes`` whose ``/extract_many`` body stays
+    within :data:`MAX_BODY_BYTES`; an item over it on its own rides
+    alone."""
+    budget = MAX_BODY_BYTES - len(_BATCH_HEAD) - len(_BATCH_TAIL)
+    chunk: list[int] = []
+    size = 0
+    for index in indexes:
+        cost = len(encoded[index]) + len(_BATCH_SEP)
+        if chunk and size + cost > budget:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(index)
+        size += cost
+    if chunk:
+        yield chunk
 
 
 class RemoteError(FacadeError):
@@ -142,9 +175,10 @@ class OwnershipError(FacadeError):
 def _error_for(status: int, answer: dict, retry_after_header=None) -> Exception:
     """The typed exception for one error body.
 
-    Shared by ``_request`` (whole-response errors) and the bulk wire
-    mode (per-item slots carry the same ``error``/``code`` fields), so
-    a failed bulk item raises exactly what the single-item verb would.
+    Shared by ``_request`` (whole-response errors) and
+    ``extract_many``'s slots (they carry the same ``error``/``code``
+    fields), so a failed batch item raises exactly what the single-item
+    verb would.
     """
     message = str(answer.get("error", f"HTTP {status}"))
     code = answer.get("code")
@@ -191,8 +225,6 @@ class RemoteWrapperClient:
         read_timeout: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
         api_key: str = "",
-        connect_attempts: int = 3,
-        connect_backoff_s: float = 0.05,
     ):
         if port is None:
             host, _, port_text = host.rpartition(":")
@@ -206,16 +238,6 @@ class RemoteWrapperClient:
         # capping slow-but-alive work (read).
         self.connect_timeout = timeout if connect_timeout is None else connect_timeout
         self.read_timeout = timeout if read_timeout is None else read_timeout
-        # Connect-phase failures (refused, unreachable, timeout before a
-        # byte is exchanged) are retried with jittered exponential
-        # backoff — they cannot double-execute anything.  Read-phase
-        # failures stay no-retry (see _request).
-        if connect_attempts < 1:
-            raise FacadeError("connect_attempts must be >= 1")
-        if connect_backoff_s < 0:
-            raise FacadeError("connect_backoff_s must be >= 0")
-        self.connect_attempts = int(connect_attempts)
-        self.connect_backoff_s = float(connect_backoff_s)
         try:
             self.tenant = validate_tenant(tenant)
         except ValueError as exc:
@@ -238,33 +260,17 @@ class RemoteWrapperClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def clone(self) -> "RemoteWrapperClient":
-        """An independent client to the same host (own connection) —
-        what per-thread pipelining hands each worker."""
-        return RemoteWrapperClient(
-            self.host,
-            self.port,
-            connect_timeout=self.connect_timeout,
-            read_timeout=self.read_timeout,
-            tenant=self.tenant,
-            api_key=self.api_key,
-            connect_attempts=self.connect_attempts,
-            connect_backoff_s=self.connect_backoff_s,
-        )
-
-    _CONNECT_BACKOFF_CAP_S = 1.0
-
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is not None:
             return self._conn
         last_exc: Optional[Exception] = None
-        for attempt in range(self.connect_attempts):
+        for attempt in range(_CONNECT_ATTEMPTS):
             if attempt:
                 # Full-jitter exponential backoff, capped: spreads the
                 # reconnect herd when a host flaps under a fan-out.
                 delay = min(
-                    self.connect_backoff_s * (2 ** (attempt - 1)),
-                    self._CONNECT_BACKOFF_CAP_S,
+                    _CONNECT_BACKOFF_S * (2 ** (attempt - 1)),
+                    _CONNECT_BACKOFF_CAP_S,
                 )
                 time.sleep(delay * random.uniform(0.5, 1.0))
             conn = http.client.HTTPConnection(
@@ -284,11 +290,11 @@ class RemoteWrapperClient:
         # transport-retry handler — connect retries happen only here.
         raise RemoteError(
             f"connect to {self.host}:{self.port} failed after "
-            f"{self.connect_attempts} attempt(s): "
+            f"{_CONNECT_ATTEMPTS} attempt(s): "
             f"{type(last_exc).__name__}: {last_exc}",
             host=self.host,
             port=self.port,
-            attempts=self.connect_attempts,
+            attempts=_CONNECT_ATTEMPTS,
         ) from last_exc
 
     def _transport_error(self, method: str, path: str, exc: Exception) -> RemoteError:
@@ -299,11 +305,15 @@ class RemoteWrapperClient:
             port=self.port,
         )
 
-    def _request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
-        body = None
+    def _request(
+        self, method: str, path: str, payload: Union[dict, bytes, None] = None
+    ) -> dict:
+        """One request; ``payload`` is a JSON object or its encoded body."""
+        body = payload
         headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+        if isinstance(body, dict):
+            body = json.dumps(body).encode("utf-8")
+        if body is not None:
             headers["Content-Type"] = "application/json"
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -411,126 +421,81 @@ class RemoteWrapperClient:
         return ExtractionResult.from_payload(answer)
 
     def extract_many(
-        self,
-        items: Sequence[tuple[str, Page]],
-        *,
-        concurrency: int = 4,
-        return_errors: bool = False,
-        wire: str = "pipeline",
+        self, items: Sequence[tuple[str, Page]], *, return_errors: bool = False
     ) -> list:
         """Batch extraction; results come back in item order.
 
-        ``items`` is a sequence of ``(site_key, page)`` pairs.  With
-        ``return_errors`` each failed item yields its exception in
+        ``items`` is a sequence of ``(site_key, page)`` pairs, sent as
+        ``POST /extract_many`` requests packed greedily under
+        :data:`~repro.api.results.MAX_BODY_BYTES` (an item too large on
+        its own rides alone and fails only its own slot).  Per-item
+        failures come back as slots carrying the ``error``/``code``
+        fields of ``/extract`` and become the same typed exceptions; a
+        request that fails as a whole (a transport error, a 401) gives
+        each of its items that exception.  Throttled (429) items are
+        resent after the round's largest Retry-After hint, capped at
+        :data:`_RATE_LIMIT_WAIT_CAP_S`, up to :data:`_RATE_LIMIT_RETRIES`
+        times before their :class:`RateLimitError` stands.
+
+        With ``return_errors`` each failed item yields its exception in
         place (other items keep their results); without it the first
         failure raises after the batch drains.
-
-        ``wire`` picks the transport:
-
-        * ``"pipeline"`` (default) — one ``POST /extract`` per item
-          through a small pool of per-thread connections.  Byte-for-byte
-          the pre-bulk behavior; the only mode where a 429 is retried
-          (the worker honors ``Retry-After``, capped, up to
-          :data:`_RATE_LIMIT_RETRIES` times before the
-          :class:`RateLimitError` surfaces).
-        * ``"bulk"`` — the whole batch in one ``POST /extract_many``
-          JSON request; per-item failures come back as slots carrying
-          the same ``error``/``code`` fields, raised as the same typed
-          exceptions.
         """
-        if concurrency < 1:
-            raise FacadeError("extract_many concurrency must be >= 1")
-        if wire not in ("pipeline", "bulk"):
-            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
-        if wire == "bulk":
-            return self._extract_many_bulk(list(items), return_errors)
         results: list = [None] * len(items)
-        if not items:
-            return results
-        local = threading.local()
-        clones: list[RemoteWrapperClient] = []
-        clones_lock = threading.Lock()
-
-        def one(index: int) -> None:
-            client = getattr(local, "client", None)
-            if client is None:
-                client = self.clone()
-                with clones_lock:
-                    clones.append(client)
-                local.client = client
-            site_key, page = items[index]
-            for retry in range(_RATE_LIMIT_RETRIES + 1):
-                try:
-                    results[index] = client.extract(site_key, page)
-                    return
-                except RateLimitError as exc:
-                    if retry == _RATE_LIMIT_RETRIES:
-                        results[index] = exc
-                        return
-                    time.sleep(
-                        min(exc.retry_after_s, _RATE_LIMIT_WAIT_CAP_S)
-                        or _RATE_LIMIT_WAIT_CAP_S / 10
-                    )
-                except Exception as exc:  # noqa: BLE001 - reported per item
-                    results[index] = exc
-                    return
-
-        try:
-            with ThreadPoolExecutor(
-                max_workers=min(concurrency, len(items))
-            ) as pool:
-                list(pool.map(one, range(len(items))))
-        finally:
-            for clone in clones:
-                clone.close()
-        if not return_errors:
-            for result in results:
-                if isinstance(result, BaseException):
-                    raise result
-        return results
-
-    def _extract_many_bulk(self, items: list, return_errors: bool) -> list:
-        """The single-request wire mode behind :meth:`extract_many`."""
-        results: list = [None] * len(items)
-        wire_items: list[dict] = []
-        indexes: list[int] = []
+        encoded: dict[int, bytes] = {}
         for index, (site_key, page) in enumerate(items):
             try:
-                wire_items.append(
-                    {"site_key": self._qualify(site_key), "html": _as_html(page)}
-                )
-                indexes.append(index)
+                item = {"site_key": self._qualify(site_key), "html": _as_html(page)}
             except FacadeError as exc:
-                # Keys this client could never address fail client-side,
-                # exactly as the pipelined mode's per-item extract does.
+                # A key this client could never address fails client-side.
                 results[index] = exc
-        if wire_items:
-            answer = self._request("POST", "/extract_many", {"items": wire_items})
-            slots = list(answer.get("results", ()))
-            if len(slots) != len(wire_items):
-                raise FacadeError(
-                    f"server answered {len(slots)} slot(s) for "
-                    f"{len(wire_items)} item(s)"
-                )
-            for index, slot in zip(indexes, slots):
-                results[index] = self._slot_result(slot)
+                continue
+            encoded[index] = json.dumps(item).encode("utf-8")
+        pending = list(encoded)
+        for retry in range(_RATE_LIMIT_RETRIES + 1):
+            for chunk in _pack(pending, encoded):
+                self._extract_chunk(chunk, encoded, results)
+            throttled = [i for i in pending if isinstance(results[i], RateLimitError)]
+            if not throttled or retry == _RATE_LIMIT_RETRIES:
+                break
+            wait = max(results[i].retry_after_s for i in throttled)
+            time.sleep(min(wait, _RATE_LIMIT_WAIT_CAP_S) or _RATE_LIMIT_WAIT_CAP_S / 10)
+            pending = throttled
         if not return_errors:
             for result in results:
                 if isinstance(result, BaseException):
                     raise result
         return results
+
+    def _extract_chunk(
+        self, indexes: list[int], encoded: dict[int, bytes], results: list
+    ) -> None:
+        """One ``/extract_many`` request; fills ``results`` at ``indexes``."""
+        body = _BATCH_HEAD + _BATCH_SEP.join(encoded[i] for i in indexes) + _BATCH_TAIL
+        try:
+            slots = self._request("POST", "/extract_many", body).get("results")
+            if not isinstance(slots, list) or len(slots) != len(indexes):
+                raise FacadeError(
+                    f"server did not answer one slot per item ({len(indexes)} sent)"
+                )
+        except Exception as exc:  # noqa: BLE001 - the whole request failed
+            for index in indexes:
+                results[index] = exc
+            return
+        for index, slot in zip(indexes, slots):
+            results[index] = self._slot_result(slot)
 
     @staticmethod
     def _slot_result(slot):
-        """One bulk slot → the same value per-item ``extract`` yields."""
+        """One batch slot → the same value per-item ``extract`` yields."""
         if not isinstance(slot, dict):
-            return FacadeError(f"malformed bulk result slot: {slot!r}")
+            return FacadeError(f"malformed batch result slot: {slot!r}")
         status = int(slot.get("status", 500))
         if status >= 400:
             return _error_for(status, slot)
         result = slot.get("result")
         if not isinstance(result, dict):
-            return FacadeError("bulk result slot is missing its 'result'")
+            return FacadeError("batch result slot is missing its 'result'")
         try:
             return ExtractionResult.from_payload(result)
         except Exception as exc:  # noqa: BLE001 - reported per item

@@ -46,6 +46,12 @@ FACADE_KEY = "facade"
 #: Wrapper id of the top-ranked query in extraction batches.
 BEST_ID = "best"
 
+#: Largest request body the network server accepts by default
+#: (``NetConfig.max_body_bytes``), and the budget
+#: ``RemoteWrapperClient.extract_many`` packs each ``/extract_many``
+#: request under.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 def facade_meta(artifact: WrapperArtifact) -> dict:
     meta = artifact.provenance.get(FACADE_KEY)
@@ -351,6 +357,7 @@ __all__ = [
     "ExtractionResult",
     "FACADE_KEY",
     "FacadeError",
+    "MAX_BODY_BYTES",
     "WrapperHandle",
     "check_from_records",
     "extraction_wrappers",

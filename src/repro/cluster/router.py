@@ -17,9 +17,10 @@ placement function the hosts enforce:
   the recovered replica converges);
 * ``keys()``/``handles()`` scatter-gather across every host and merge,
   de-duplicating by site key (replicas list the same wrappers twice);
-* :meth:`extract_many` fans a batch out concurrently across hosts and
-  pipelines each host's slice through per-thread connections, re-queuing
-  a failed item against its next replica between rounds.
+* :meth:`extract_many` fans a batch out concurrently across hosts, one
+  thread per host sending that host's slice as bounded
+  ``/extract_many`` requests, re-queuing a failed item against its next
+  replica between rounds.
 
 Failure containment mirrors the placement function: a host with no live
 replica fails *its* keys (as :class:`~repro.api.remote.RemoteError`
@@ -39,8 +40,8 @@ The router is drop-in interchangeable with the local and single-host
 clients; the facade parity suite runs byte-identically against both a
 disjoint 2-host and a replicated 3-host router backend.  Like
 :class:`RemoteWrapperClient`, one router is not thread-safe (it owns
-one keep-alive connection per host); ``extract_many`` manages its own
-per-thread connections internally.
+one keep-alive connection per host); ``extract_many`` gives each host's
+connection to one thread of its own.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ from repro.api.results import (
 
 _UNSET = object()
 
-# Ceiling on any single failover backoff sleep; the base delay doubles
-# per attempt (full jitter) but never past this.
+# Failover backoff: the base delay doubles per attempt (full jitter)
+# but never past the ceiling.
+_FAILOVER_BACKOFF_S = 0.05
 _BACKOFF_CAP_S = 1.0
 
 
@@ -110,7 +112,6 @@ class RouterClient:
         api_key: str = "",
         breaker_threshold: int = 3,
         breaker_reset_s: float = 5.0,
-        failover_backoff_s: float = 0.05,
         telemetry_sink: Optional[Callable[[dict], None]] = None,
     ) -> None:
         if not isinstance(cluster, ClusterMap):
@@ -136,7 +137,6 @@ class RouterClient:
         self.api_key = str(api_key)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
-        self.failover_backoff_s = float(failover_backoff_s)
         self._timeouts = {
             "timeout": timeout,
             "connect_timeout": connect_timeout,
@@ -201,11 +201,8 @@ class RouterClient:
 
     def _backoff_sleep(self, attempt: int) -> None:
         # Full-jitter exponential backoff before a failover retry.
-        delay = min(
-            self.failover_backoff_s * (2 ** max(attempt - 1, 0)), _BACKOFF_CAP_S
-        )
-        if delay > 0:
-            time.sleep(delay * random.uniform(0.5, 1.0))
+        delay = min(_FAILOVER_BACKOFF_S * (2 ** max(attempt - 1, 0)), _BACKOFF_CAP_S)
+        time.sleep(delay * random.uniform(0.5, 1.0))
 
     # -- routing ------------------------------------------------------------
 
@@ -662,23 +659,15 @@ class RouterClient:
     # -- batch extraction ---------------------------------------------------
 
     def extract_many(
-        self,
-        items: Sequence[tuple[str, Page]],
-        *,
-        concurrency: int = 4,
-        return_errors: bool = False,
-        wire: str = "pipeline",
+        self, items: Sequence[tuple[str, Page]], *, return_errors: bool = False
     ) -> list:
-        """Batch extraction: concurrent across hosts, pipelined per host.
+        """Batch extraction, concurrent across hosts.
 
         Items are grouped by the first live replica of their shard;
-        every host's slice runs through that host's
-        :meth:`RemoteWrapperClient.extract_many` pipeline (depth
-        ``concurrency``) while the other hosts' slices run in parallel.
-        ``wire`` is handed through to each host's client unchanged —
-        ``"bulk"`` sends one ``/extract_many`` request per host instead
-        of one ``/extract`` per item; failover and per-item error
-        semantics are identical in both modes.
+        every host's slice goes through that host's
+        :meth:`RemoteWrapperClient.extract_many` (bounded
+        ``/extract_many`` requests) while the other hosts' slices run
+        in parallel.
         An item whose host fails mid-batch is re-queued against its
         next replica in the following round (with jittered backoff), so
         a host dying under a batch costs a retry — not the batch.
@@ -688,10 +677,6 @@ class RouterClient:
         With ``return_errors`` errors are returned in place, otherwise
         the first one raises after the batch drains.
         """
-        if concurrency < 1:
-            raise FacadeError("extract_many concurrency must be >= 1")
-        if wire not in ("pipeline", "bulk"):
-            raise FacadeError(f"wire must be 'pipeline' or 'bulk' (got {wire!r})")
         results: list = [None] * len(items)
         qualified: dict[int, str] = {}
         pending: list[int] = []
@@ -712,13 +697,9 @@ class RouterClient:
         round_no = 0
 
         def run_host(host: str, indexes: list[int]) -> list:
-            slice_items = [items[i] for i in indexes]
             try:
                 return self.client_for_host(host).extract_many(
-                    slice_items,
-                    concurrency=concurrency,
-                    return_errors=True,
-                    wire=wire,
+                    [items[i] for i in indexes], return_errors=True
                 )
             except Exception as exc:  # noqa: BLE001 - host-wide failure
                 return [exc] * len(indexes)
@@ -780,9 +761,9 @@ class RouterClient:
                             pos[index] += 1
                             next_pending.append(index)
                         elif isinstance(result, RateLimitError):
-                            # The per-host pipeline already honored the
-                            # Retry-After hint and still got throttled;
-                            # requeue against the next replica.
+                            # The host's client already resent the item
+                            # after its Retry-After hints and it is still
+                            # throttled; requeue against the next replica.
                             answered += 1
                             self._emit(
                                 "rate_limited",

@@ -28,7 +28,6 @@ from repro.induction.samples import QuerySample
 from repro.induction.spine import base_axis_between, common_base_axis, lca, spine
 from repro.scoring.params import ScoringParams
 from repro.scoring.ranking import KBestTable, QueryInstance, rank_key
-from repro.scoring.score import Scorer
 from repro.xpath.ast import Axis, Query
 from repro.xpath.cache import CachedEvaluator
 
@@ -168,7 +167,6 @@ def _aggregate(
     per_sample: list[list[QueryInstance]],
     samples: Sequence[QuerySample],
     config: InductionConfig,
-    scorer: Scorer,
 ) -> list[QueryInstance]:
     """Algorithm 3, line 16: re-score every candidate on all samples."""
     evaluators = [CachedEvaluator(sample.doc) for sample in samples]
@@ -210,9 +208,8 @@ def induce(
     if len(samples) == 1:
         ranked = [i for i in per_sample[0] if not i.query.is_empty]
         return InductionResult(ranked, beta=config.beta, stats=stats)
-    scorer = Scorer(params)
     return InductionResult(
-        _aggregate(per_sample, samples, config, scorer), beta=config.beta, stats=stats
+        _aggregate(per_sample, samples, config), beta=config.beta, stats=stats
     )
 
 

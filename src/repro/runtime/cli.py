@@ -438,6 +438,16 @@ def cmd_serve_listen(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     if args.listen:
+        # A listening server replays no stream: ignoring these flags
+        # would fake a run whose stats file never appears.
+        for flag, value, default in (
+            ("--snapshot", args.snapshot, 0),
+            ("--concurrency", args.concurrency, 8),
+            ("--no-ensemble", args.no_ensemble, False),
+            ("--json", args.json, None),
+        ):
+            if value != default:
+                raise SystemExit(f"{flag} does not apply with --listen")
         return cmd_serve_listen(args)
     # The one-shot stream replay has no tenancy or shard ownership —
     # silently ignoring these flags would fake a scoped deployment.

@@ -32,7 +32,11 @@ or ``{"status": S, "error": ..., "code": ...}`` on a per-item failure —
 the inner payloads are byte-identical to ``/extract`` responses, which
 keeps every remote/router backend parity-exact.  Per-item gates
 (403/404/421/422/429) fail the *slot*, never the batch; only
-authentication (401) rejects the whole request.
+authentication (401) rejects the whole request.  At most
+``ServingConfig.max_pending`` items of one request are in flight at a
+time, so a large batch costs the server a bounded amount of memory.
+It is the one transport of every remote ``extract_many``: clients pack
+a batch into requests under :data:`~repro.api.results.MAX_BODY_BYTES`.
 
 Traffic hardening (ROADMAP's "safe to point the internet at", all
 **off by default** — a no-auth launch behaves exactly as before):
@@ -97,6 +101,7 @@ from urllib.parse import unquote
 
 from repro.api.client import WrapperClient
 from repro.api.results import (
+    MAX_BODY_BYTES,
     FacadeError,
     check_from_records,
     extraction_wrappers,
@@ -173,7 +178,7 @@ class NetConfig:
     one JSONL record per answered request.
     """
 
-    max_body_bytes: int = 8 * 1024 * 1024
+    max_body_bytes: int = MAX_BODY_BYTES
     max_header_bytes: int = 32768
     serving: ServingConfig = field(default_factory=ServingConfig)
     auth: Optional[ApiKeyTable] = None
@@ -939,19 +944,22 @@ class WrapperHTTPServer:
     async def _op_extract_many(
         self, payload: dict, principal: Optional[str], ctx: dict
     ):
-        """Bulk extraction: one request, per-item result slots.
+        """Batch extraction: one request, per-item result slots.
 
-        Items run concurrently (a page repeated across items is parsed
-        once and then found in the serving layer's parse cache), but
-        slots always come back in item order.  Every per-item gate —
-        authorization, quota, ownership, unknown wrapper, malformed
-        item — fails only its slot, with the same ``error``/``code``
-        body fields the single-item endpoints use, so remote clients
-        can raise identical typed errors per item.
+        Items run concurrently, at most ``max_pending`` at a time (a
+        page repeated across items is parsed once and then found in the
+        serving layer's parse cache), but slots always come back in
+        item order.  Every per-item gate — authorization, quota,
+        ownership, unknown wrapper, malformed item — fails only its
+        slot, with the same ``error``/``code`` body fields the
+        single-item endpoints use, so remote clients can raise
+        identical typed errors per item.
         """
         items = payload.get("items")
         if not isinstance(items, list):
             raise _HTTPError(400, "missing or invalid field 'items'")
+        slots: list = [None] * len(items)
+        indexes = iter(range(len(items)))
 
         async def one(item) -> dict:
             # Per-item ctx: _admit marks the in-flight slot on the dict,
@@ -974,7 +982,16 @@ class WrapperHTTPServer:
                 ctx["tenant"] = sub["tenant"]
             return slot
 
-        return 200, {"results": list(await asyncio.gather(*map(one, items)))}
+        async def worker() -> None:
+            # Workers share one index iterator: an item starts only when
+            # a worker frees up, so no item of a huge request holds a
+            # task, an artifact load or a PageJob before its turn.
+            for index in indexes:
+                slots[index] = await one(items[index])
+
+        width = min(self.config.serving.max_pending, len(items))
+        await asyncio.gather(*(worker() for _ in range(width)))
+        return 200, {"results": slots}
 
     async def _op_deploy(self, payload: dict, principal: Optional[str], ctx: dict):
         raw = payload.get("artifact")

@@ -8,8 +8,8 @@ removed.
 * ``fold_workers`` is an unknown induce option now: a
   :class:`FacadeError` on every backend, a 422 on the wire.
 
-``wire="stream"`` and ``Accept: application/x-ndjson`` are covered in
-``tests/runtime/test_bulk_wire.py``.
+``Accept: application/x-ndjson`` and the removed ``wire`` option of
+``extract_many`` are covered in ``tests/runtime/test_bulk_wire.py``.
 """
 
 import json

@@ -197,6 +197,19 @@ class TestFacadeContract:
         with pytest.raises(KeyError):
             client.get("parity/delete")
 
+    def test_extract_many_matches_per_item_extract(self, client):
+        """A batch answers byte-identically to per-item ``extract``, in
+        item order, with a failed item's typed error in its place."""
+        client.induce("parity/many", [price_sample()])
+        items = [("parity/many", page) for page in (PRICE_V1, PRICE_V2, PRICE_GONE)]
+        results = client.extract_many(
+            [*items, ("parity/unknown", PRICE_V1)], return_errors=True
+        )
+        assert isinstance(results[-1], KeyError)
+        assert [json.dumps(r.to_payload()) for r in results[:-1]] == [
+            json.dumps(client.extract(key, page).to_payload()) for key, page in items
+        ]
+
     def test_unknown_site_key_raises_keyerror(self, client):
         with pytest.raises(KeyError):
             client.extract("parity/unknown", PRICE_V1)

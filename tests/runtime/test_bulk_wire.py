@@ -1,10 +1,13 @@
-"""The bulk wire mode of ``/extract_many``: the JSON answer (whatever
-``Accept`` asks for), per-item failure slots, and client/router parity
-across ``wire="pipeline"|"bulk"``."""
+"""``/extract_many``, the one transport of every remote batch: the JSON
+answer (whatever ``Accept`` asks for), per-item failure slots, the
+server's in-flight bound, and the clients' side of it — parity with
+per-item ``extract``, packing under the body limit, 429 retries and
+whole-request failures."""
 
 import asyncio
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -16,9 +19,11 @@ from repro import (
     mark_volatile,
     parse_html,
 )
-from repro.api.remote import RemoteWrapperClient
+from repro.api import remote as remote_module
+from repro.api.remote import AuthError, RateLimitError, RemoteWrapperClient
 from repro.api.results import FacadeError
-from repro.runtime.net import WrapperHTTPServer
+from repro.runtime.net import NetConfig, WrapperHTTPServer
+from repro.runtime.serve import ServingConfig
 from tests.serving_utils import spawn_listen, terminate
 
 TITLE_PAGE = """
@@ -172,6 +177,43 @@ class TestWireProtocol:
 
         run(go())
 
+    def test_in_flight_items_are_bounded_by_max_pending(self):
+        """A 300-item request never runs more than ``max_pending`` items
+        at once, and its slots keep item order."""
+        server = WrapperHTTPServer(
+            deployed_client(), NetConfig(serving=ServingConfig(max_pending=16))
+        )
+        op_extract = server._op_extract
+        running = peak = 0
+
+        async def counted(*args, **kwargs):
+            nonlocal running, peak
+            running += 1
+            peak = max(peak, running)
+            try:
+                return await op_extract(*args, **kwargs)
+            finally:
+                running -= 1
+
+        server._op_extract = counted
+        items = [
+            {"site_key": "shop/name", "html": (TITLE_PAGE, OTHER_PAGE)[i % 2]}
+            for i in range(300)
+        ]
+
+        async def go():
+            async with server:
+                host, port = server.address
+                status, _, body = await json_exchange(
+                    host, port, request_bytes("/extract_many", {"items": items})
+                )
+                assert status == 200
+                values = [slot["result"]["values"] for slot in body["results"]]
+                assert values == [["Alpha"], ["Beta"]] * 150
+
+        run(go())
+        assert 1 < peak <= 16
+
     def test_items_must_be_a_list(self):
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
@@ -210,40 +252,152 @@ class TestClientWireModes:
     ]
 
     def test_bulk_matches_pipeline(self, live_server):
+        """``extract_many`` answers byte-identically to per-item
+        ``extract``."""
         remote, _, _ = live_server
-        baseline = remote.extract_many(self.ITEMS, wire="pipeline")
-        results = remote.extract_many(self.ITEMS, wire="bulk")
-        assert [r.to_payload() for r in results] == [
-            r.to_payload() for r in baseline
-        ]
+        expected = [remote.extract(key, page).to_payload() for key, page in self.ITEMS]
+        results = remote.extract_many(self.ITEMS)
+        assert [r.to_payload() for r in results] == expected
 
     def test_bulk_modes_raise_the_same_typed_errors(self, live_server):
         remote, _, _ = live_server
         items = [("shop/name", TITLE_PAGE), ("no/such", TITLE_PAGE)]
-        results = remote.extract_many(items, wire="bulk", return_errors=True)
+        results = remote.extract_many(items, return_errors=True)
         assert results[0].values == ("Alpha",)
         assert isinstance(results[1], KeyError)
         with pytest.raises(KeyError):
-            remote.extract_many(items, wire="bulk")
+            remote.extract_many(items)
 
     def test_invalid_wire_is_rejected_by_every_backend(self, live_server):
+        """``extract_many`` takes only ``items`` and ``return_errors``:
+        the removed transport options are a TypeError on every client."""
         remote, host, port = live_server
         cluster = ClusterMap((f"{host}:{port}",), n_shards=8)
         with RouterClient(cluster) as router:
             for client in (remote, router, WrapperClient()):
-                for wire in ("telepathy", "stream"):
-                    with pytest.raises(FacadeError, match="wire"):
-                        client.extract_many(self.ITEMS, wire=wire)
-                for concurrency in (0, -5):
-                    with pytest.raises(FacadeError, match="concurrency"):
-                        client.extract_many([], concurrency=concurrency)
+                for option in ({"wire": "bulk"}, {"wire": "pipeline"}, {"concurrency": 4}):
+                    with pytest.raises(TypeError):
+                        client.extract_many(self.ITEMS, **option)
 
     def test_router_passes_wire_through(self, live_server):
+        """The router's ``extract_many`` answers byte-identically to its
+        per-item ``extract``."""
         _, host, port = live_server
         cluster = ClusterMap((f"{host}:{port}",), n_shards=8)
         with RouterClient(cluster) as router:
-            baseline = router.extract_many(self.ITEMS, wire="pipeline")
-            results = router.extract_many(self.ITEMS, wire="bulk")
-            assert [r.to_payload() for r in results] == [
-                r.to_payload() for r in baseline
+            expected = [
+                router.extract(key, page).to_payload() for key, page in self.ITEMS
             ]
+            results = router.extract_many(self.ITEMS)
+            assert [r.to_payload() for r in results] == expected
+
+
+def run_client_against(server: WrapperHTTPServer, fn):
+    """``fn(remote)`` in a worker thread while ``server`` serves."""
+
+    async def go():
+        async with server:
+            with RemoteWrapperClient(*server.address) as remote:
+                return await asyncio.to_thread(fn, remote)
+
+    return run(go())
+
+
+class TestBatchPacking:
+    LIMIT = 2048
+    ITEMS = [("shop/name", TITLE_PAGE), ("shop/price", OTHER_PAGE)] * 20
+
+    def test_batches_are_packed_under_the_body_limit(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "MAX_BODY_BYTES", self.LIMIT)
+        server = WrapperHTTPServer(
+            deployed_client(), NetConfig(max_body_bytes=self.LIMIT)
+        )
+        op_extract_many = server._op_extract_many
+        sizes = []
+
+        async def counted(payload, *args):
+            sizes.append(len(payload["items"]))
+            return await op_extract_many(payload, *args)
+
+        server._op_extract_many = counted
+        results = run_client_against(server, lambda r: r.extract_many(self.ITEMS))
+        assert [r.values for r in results] == [("Alpha",), ("20",)] * 20
+        assert len(sizes) > 1 and sum(sizes) == len(self.ITEMS)
+        assert server.metrics.as_payload()["by_status"] == {"200": len(sizes)}
+
+    def test_an_oversized_item_fails_only_its_own_slot(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "MAX_BODY_BYTES", self.LIMIT)
+        server = WrapperHTTPServer(
+            deployed_client(), NetConfig(max_body_bytes=self.LIMIT)
+        )
+        huge = TITLE_PAGE.replace("<body>", "<body>" + "<p>x</p>" * self.LIMIT)
+        items = [*self.ITEMS[:2], ("shop/name", huge), *self.ITEMS[:2]]
+        results = run_client_against(
+            server, lambda r: r.extract_many(items, return_errors=True)
+        )
+        assert isinstance(results[2], FacadeError)
+        values = [r.values for i, r in enumerate(results) if i != 2]
+        assert values == [("Alpha",), ("20",)] * 2
+
+
+TEST_KEY = "k-batch-test-0001"
+
+
+@pytest.fixture(scope="module")
+def guarded_server(tmp_path_factory):
+    """A ``serve --listen`` process with API keys and a 5/s, burst-2
+    rate limit over a store the two test wrappers were induced into
+    (no rate-limited request is spent on setup)."""
+    root = tmp_path_factory.mktemp("guarded")
+    store = root / "store"
+    local = deployed_client()
+    seeded = WrapperClient(store=store)
+    for key in local.keys():
+        seeded.deploy(local.artifact(key))
+    keys = root / "keys.txt"
+    keys.write_text(f"{TEST_KEY} *\n")
+    proc, host, port = spawn_listen(
+        "--artifacts", str(store), "--auth-keys", str(keys),
+        "--rate-limit", "5", "--burst", "2",
+    )
+    try:
+        yield host, port
+    finally:
+        terminate([proc])
+
+
+class TestBatchRetriesAndFailures:
+    ITEMS = [
+        ("shop/name", TITLE_PAGE),
+        ("shop/price", TITLE_PAGE),
+        ("shop/name", OTHER_PAGE),
+    ]
+    VALUES = [("Alpha",), ("10",), ("Beta",)]
+
+    def test_throttled_items_are_resent_after_retry_after(self, guarded_server):
+        time.sleep(0.5)  # let the token bucket refill to its burst of 2
+        with RemoteWrapperClient(*guarded_server, api_key=TEST_KEY) as remote:
+            started = time.monotonic()
+            results = remote.extract_many(self.ITEMS)
+            elapsed = time.monotonic() - started
+        assert [r.values for r in results] == self.VALUES
+        assert elapsed >= 0.2  # the third item waited for a token
+
+    def test_exhausted_retries_return_the_rate_limit_error(
+        self, guarded_server, monkeypatch
+    ):
+        monkeypatch.setattr(remote_module, "_RATE_LIMIT_WAIT_CAP_S", 0.001)
+        items = self.ITEMS * 3
+        with RemoteWrapperClient(*guarded_server, api_key=TEST_KEY) as remote:
+            results = remote.extract_many(items, return_errors=True)
+        throttled = [r for r in results if isinstance(r, RateLimitError)]
+        assert throttled and all(r.retry_after_s > 0 for r in throttled)
+        for result, values in zip(results, self.VALUES * 3):
+            assert isinstance(result, RateLimitError) or result.values == values
+
+    def test_a_refused_request_fails_every_item(self, guarded_server):
+        with RemoteWrapperClient(*guarded_server) as keyless:
+            results = keyless.extract_many(self.ITEMS, return_errors=True)
+            assert all(isinstance(r, AuthError) and r.status == 401 for r in results)
+            with pytest.raises(AuthError):
+                keyless.extract_many(self.ITEMS)

@@ -309,6 +309,10 @@ BAD_INVOCATIONS = [
     (["serve", "--artifacts", "{tmp}", "--max-pending", "0"], "--max-pending: must be >= 1"),
     (["serve", "--artifacts", "{tmp}", "--concurrency", "0"], "--concurrency: must be >= 1"),
     (["serve", "--listen", "127.0.0.1:0", "--epoch", "-1"], "--epoch: must be >= 0"),
+    (["serve", "--listen", "127.0.0.1:0", "--snapshot", "3"], "--snapshot does not apply with --listen"),
+    (["serve", "--listen", "127.0.0.1:0", "--concurrency", "99"], "--concurrency does not apply with --listen"),
+    (["serve", "--listen", "127.0.0.1:0", "--no-ensemble"], "--no-ensemble does not apply with --listen"),
+    (["serve", "--listen", "127.0.0.1:0", "--json", "{tmp}/x.json"], "--json does not apply with --listen"),
     (["induce", "--out", "{tmp}", "--k", "0"], "--k: must be >= 1"),
     (["induce", "--out", "{tmp}", "--limit", "-1"], "--limit: must be >= 1"),
     (["induce", "--out", "{tmp}", "--ensemble-size", "0"], "--ensemble-size: must be >= 1"),
