@@ -54,11 +54,19 @@ from repro.api.sample import Sample, coerce_samples
 
 Page = Union[str, Document]
 
-#: How many times ``extract_many`` resends its 429'd items before their
-#: :class:`RateLimitError` stands, and the cap on how long one round's
-#: Retry-After hint may stall the batch.
+#: How many rounds in a row of ``extract_many`` may let no item through
+#: (every item sent in them throttled, 429) before the throttled items
+#: keep their :class:`RateLimitError`, and the cap on how long one
+#: round's Retry-After hint may stall the batch.
 _RATE_LIMIT_RETRIES = 3
 _RATE_LIMIT_WAIT_CAP_S = 2.0
+
+#: Items per ``/extract_many`` request, on top of the body-size limit.
+#: The server answers a request only when its last item is done, so a
+#: body full of tiny pages (~89,000 items in 8 MiB) would take about a
+#: minute — the default ``read_timeout``.  1024 tiny items take ~0.5 s;
+#: 8 MiB of larger pages ~5 s (2-CPU host).
+_MAX_BATCH_ITEMS = 1024
 
 #: Connect-phase failures (refused, unreachable, timeout before a byte
 #: is exchanged) are retried this many times in all, with jittered
@@ -69,27 +77,22 @@ _CONNECT_ATTEMPTS = 3
 _CONNECT_BACKOFF_S = 0.05
 _CONNECT_BACKOFF_CAP_S = 1.0
 
-#: The ``/extract_many`` body around its comma-separated encoded items
-#: (``json.dumps``'s default separators).
-_BATCH_HEAD = b'{"items": ['
-_BATCH_SEP = b", "
-_BATCH_TAIL = b"]}"
-
 
 def _as_html(page: Page) -> str:
     return to_html(page) if isinstance(page, Document) else page
 
 
-def _pack(indexes: list[int], encoded: dict[int, bytes]):
-    """Greedy runs of ``indexes`` whose ``/extract_many`` body stays
-    within :data:`MAX_BODY_BYTES`; an item over it on its own rides
-    alone."""
-    budget = MAX_BODY_BYTES - len(_BATCH_HEAD) - len(_BATCH_TAIL)
+def _pack(indexes: list[int], sizes: dict[int, int]):
+    """Greedy runs of ``indexes`` of at most :data:`_MAX_BATCH_ITEMS`
+    whose ``/extract_many`` body stays within :data:`MAX_BODY_BYTES`
+    (``sizes`` holds each item's encoded length); an item over the
+    limit on its own rides alone."""
+    budget = MAX_BODY_BYTES - len(json.dumps({"items": []}))
     chunk: list[int] = []
     size = 0
     for index in indexes:
-        cost = len(encoded[index]) + len(_BATCH_SEP)
-        if chunk and size + cost > budget:
+        cost = sizes[index] + len(", ")
+        if chunk and (size + cost > budget or len(chunk) == _MAX_BATCH_ITEMS):
             yield chunk
             chunk, size = [], 0
         chunk.append(index)
@@ -305,15 +308,11 @@ class RemoteWrapperClient:
             port=self.port,
         )
 
-    def _request(
-        self, method: str, path: str, payload: Union[dict, bytes, None] = None
-    ) -> dict:
-        """One request; ``payload`` is a JSON object or its encoded body."""
-        body = payload
+    def _request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
+        body = None
         headers = {}
-        if isinstance(body, dict):
-            body = json.dumps(body).encode("utf-8")
-        if body is not None:
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -427,40 +426,54 @@ class RemoteWrapperClient:
 
         ``items`` is a sequence of ``(site_key, page)`` pairs, sent as
         ``POST /extract_many`` requests packed greedily under
-        :data:`~repro.api.results.MAX_BODY_BYTES` (an item too large on
-        its own rides alone and fails only its own slot).  Per-item
-        failures come back as slots carrying the ``error``/``code``
-        fields of ``/extract`` and become the same typed exceptions; a
-        request that fails as a whole (a transport error, a 401) gives
-        each of its items that exception.  Throttled (429) items are
-        resent after the round's largest Retry-After hint, capped at
-        :data:`_RATE_LIMIT_WAIT_CAP_S`, up to :data:`_RATE_LIMIT_RETRIES`
-        times before their :class:`RateLimitError` stands.
+        :data:`~repro.api.results.MAX_BODY_BYTES` and
+        :data:`_MAX_BATCH_ITEMS` (an item too large on its own rides
+        alone and fails only its own slot).  Per-item failures come back
+        as slots carrying the ``error``/``code`` fields of ``/extract``
+        and become the same typed exceptions; a request that fails as a
+        whole (a transport error, a 401) gives each of its items that
+        exception.  Throttled (429) items are resent after the round's
+        largest Retry-After hint, capped at
+        :data:`_RATE_LIMIT_WAIT_CAP_S`, in rounds of twice as many items
+        as the last round got through; their :class:`RateLimitError`
+        stands once more than :data:`_RATE_LIMIT_RETRIES` rounds in a
+        row let no item through.
 
         With ``return_errors`` each failed item yields its exception in
         place (other items keep their results); without it the first
         failure raises after the batch drains.
         """
         results: list = [None] * len(items)
-        encoded: dict[int, bytes] = {}
+        payloads: dict[int, dict] = {}
         for index, (site_key, page) in enumerate(items):
             try:
-                item = {"site_key": self._qualify(site_key), "html": _as_html(page)}
+                payloads[index] = {
+                    "site_key": self._qualify(site_key), "html": _as_html(page)
+                }
             except FacadeError as exc:
                 # A key this client could never address fails client-side.
                 results[index] = exc
-                continue
-            encoded[index] = json.dumps(item).encode("utf-8")
-        pending = list(encoded)
-        for retry in range(_RATE_LIMIT_RETRIES + 1):
-            for chunk in _pack(pending, encoded):
-                self._extract_chunk(chunk, encoded, results)
-            throttled = [i for i in pending if isinstance(results[i], RateLimitError)]
-            if not throttled or retry == _RATE_LIMIT_RETRIES:
-                break
-            wait = max(results[i].retry_after_s for i in throttled)
-            time.sleep(min(wait, _RATE_LIMIT_WAIT_CAP_S) or _RATE_LIMIT_WAIT_CAP_S / 10)
-            pending = throttled
+        sizes = {index: len(json.dumps(item)) for index, item in payloads.items()}
+        pending = list(payloads)
+        window = len(pending)
+        stalls = 0
+        while pending:
+            sent = pending[:window]
+            for chunk in _pack(sent, sizes):
+                self._extract_chunk(chunk, payloads, results)
+            # Unsent items still hold the RateLimitError of their last try.
+            pending = [i for i in pending if isinstance(results[i], RateLimitError)]
+            throttled = [i for i in sent if isinstance(results[i], RateLimitError)]
+            admitted = len(sent) - len(throttled)
+            stalls = 0 if admitted else stalls + 1
+            if throttled:
+                if stalls > _RATE_LIMIT_RETRIES:
+                    break
+                wait = max(results[i].retry_after_s for i in throttled)
+                time.sleep(min(wait, _RATE_LIMIT_WAIT_CAP_S) or _RATE_LIMIT_WAIT_CAP_S / 10)
+            # A token bucket admits about as many items per round as it
+            # did last round: resend twice that, not the whole remainder.
+            window = max(1, 2 * admitted)
         if not return_errors:
             for result in results:
                 if isinstance(result, BaseException):
@@ -468,12 +481,14 @@ class RemoteWrapperClient:
         return results
 
     def _extract_chunk(
-        self, indexes: list[int], encoded: dict[int, bytes], results: list
+        self, indexes: list[int], payloads: dict[int, dict], results: list
     ) -> None:
         """One ``/extract_many`` request; fills ``results`` at ``indexes``."""
-        body = _BATCH_HEAD + _BATCH_SEP.join(encoded[i] for i in indexes) + _BATCH_TAIL
         try:
-            slots = self._request("POST", "/extract_many", body).get("results")
+            answer = self._request(
+                "POST", "/extract_many", {"items": [payloads[i] for i in indexes]}
+            )
+            slots = answer.get("results")
             if not isinstance(slots, list) or len(slots) != len(indexes):
                 raise FacadeError(
                     f"server did not answer one slot per item ({len(indexes)} sent)"

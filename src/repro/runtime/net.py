@@ -34,9 +34,11 @@ keeps every remote/router backend parity-exact.  Per-item gates
 (403/404/421/422/429) fail the *slot*, never the batch; only
 authentication (401) rejects the whole request.  At most
 ``ServingConfig.max_pending`` items of one request are in flight at a
-time, so a large batch costs the server a bounded amount of memory.
-It is the one transport of every remote ``extract_many``: clients pack
-a batch into requests under :data:`~repro.api.results.MAX_BODY_BYTES`.
+time, so a large batch costs the server a bounded amount of memory —
+and never more than the per-tenant in-flight quota, so a batch does
+not throttle its own items.  It is the one transport of every remote
+``extract_many``: clients pack a batch into requests under
+:data:`~repro.api.results.MAX_BODY_BYTES` and 1024 items.
 
 Traffic hardening (ROADMAP's "safe to point the internet at", all
 **off by default** — a no-auth launch behaves exactly as before):
@@ -946,14 +948,14 @@ class WrapperHTTPServer:
     ):
         """Batch extraction: one request, per-item result slots.
 
-        Items run concurrently, at most ``max_pending`` at a time (a
-        page repeated across items is parsed once and then found in the
-        serving layer's parse cache), but slots always come back in
-        item order.  Every per-item gate — authorization, quota,
-        ownership, unknown wrapper, malformed item — fails only its
-        slot, with the same ``error``/``code`` body fields the
-        single-item endpoints use, so remote clients can raise
-        identical typed errors per item.
+        Items run concurrently, at most ``max_pending`` and at most the
+        per-tenant in-flight cap at a time (a page repeated across items
+        is parsed once and then found in the serving layer's parse
+        cache), but slots always come back in item order.  Every
+        per-item gate — authorization, quota, ownership, unknown
+        wrapper, malformed item — fails only its slot, with the same
+        ``error``/``code`` body fields the single-item endpoints use, so
+        remote clients can raise identical typed errors per item.
         """
         items = payload.get("items")
         if not isinstance(items, list):
@@ -989,7 +991,11 @@ class WrapperHTTPServer:
             for index in indexes:
                 slots[index] = await one(items[index])
 
+        # Never wider than the tenant in-flight cap: a wider batch would
+        # refuse its own items with 429.
         width = min(self.config.serving.max_pending, len(items))
+        if self._inflight is not None:
+            width = min(width, self._inflight.max_inflight)
         await asyncio.gather(*(worker() for _ in range(width)))
         return 200, {"results": slots}
 

@@ -22,6 +22,7 @@ from repro import (
 from repro.api import remote as remote_module
 from repro.api.remote import AuthError, RateLimitError, RemoteWrapperClient
 from repro.api.results import FacadeError
+from repro.runtime.auth import QuotaConfig
 from repro.runtime.net import NetConfig, WrapperHTTPServer
 from repro.runtime.serve import ServingConfig
 from tests.serving_utils import spawn_listen, terminate
@@ -214,6 +215,26 @@ class TestWireProtocol:
         run(go())
         assert 1 < peak <= 16
 
+    def test_a_batch_never_throttles_its_own_items(self):
+        """With a per-tenant in-flight cap below ``max_pending``, a
+        20-item request runs no wider than the cap, so none of its
+        slots is refused with 429."""
+        server = WrapperHTTPServer(
+            deployed_client(), NetConfig(quota=QuotaConfig(max_inflight=2))
+        )
+        items = [{"site_key": "shop/name", "html": TITLE_PAGE}] * 20
+
+        async def go():
+            async with server:
+                host, port = server.address
+                status, _, body = await json_exchange(
+                    host, port, request_bytes("/extract_many", {"items": items})
+                )
+                assert status == 200
+                assert [slot["status"] for slot in body["results"]] == [200] * 20
+
+        run(go())
+
     def test_items_must_be_a_list(self):
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
@@ -325,6 +346,21 @@ class TestBatchPacking:
         assert len(sizes) > 1 and sum(sizes) == len(self.ITEMS)
         assert server.metrics.as_payload()["by_status"] == {"200": len(sizes)}
 
+    def test_batches_are_capped_in_items(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "_MAX_BATCH_ITEMS", 7)
+        server = WrapperHTTPServer(deployed_client())
+        op_extract_many = server._op_extract_many
+        sizes = []
+
+        async def counted(payload, *args):
+            sizes.append(len(payload["items"]))
+            return await op_extract_many(payload, *args)
+
+        server._op_extract_many = counted
+        results = run_client_against(server, lambda r: r.extract_many(self.ITEMS))
+        assert [r.values for r in results] == [("Alpha",), ("20",)] * 20
+        assert sizes == [7] * 5 + [5]
+
     def test_an_oversized_item_fails_only_its_own_slot(self, monkeypatch):
         monkeypatch.setattr(remote_module, "MAX_BODY_BYTES", self.LIMIT)
         server = WrapperHTTPServer(
@@ -343,17 +379,39 @@ class TestBatchPacking:
 TEST_KEY = "k-batch-test-0001"
 
 
+def seeded_store(root):
+    """A store holding the two test wrappers, so a quota-guarded server
+    spends no request on setup."""
+    store = root / "store"
+    local = deployed_client()
+    seeded = WrapperClient(store=store)
+    for key in local.keys():
+        seeded.deploy(local.artifact(key))
+    return store
+
+
+def test_a_batch_completes_under_a_low_in_flight_quota(tmp_path):
+    """``serve --listen --max-inflight 2`` answers every item of a
+    20-item ``extract_many``."""
+    proc, host, port = spawn_listen(
+        "--artifacts", str(seeded_store(tmp_path)), "--max-inflight", "2"
+    )
+    items = [("shop/name", TITLE_PAGE), ("shop/price", OTHER_PAGE)] * 10
+    try:
+        with RemoteWrapperClient(host, port) as remote:
+            results = remote.extract_many(items)
+    finally:
+        terminate([proc])
+    assert [r.values for r in results] == [("Alpha",), ("20",)] * 10
+
+
 @pytest.fixture(scope="module")
 def guarded_server(tmp_path_factory):
     """A ``serve --listen`` process with API keys and a 5/s, burst-2
     rate limit over a store the two test wrappers were induced into
     (no rate-limited request is spent on setup)."""
     root = tmp_path_factory.mktemp("guarded")
-    store = root / "store"
-    local = deployed_client()
-    seeded = WrapperClient(store=store)
-    for key in local.keys():
-        seeded.deploy(local.artifact(key))
+    store = seeded_store(root)
     keys = root / "keys.txt"
     keys.write_text(f"{TEST_KEY} *\n")
     proc, host, port = spawn_listen(
@@ -394,6 +452,14 @@ class TestBatchRetriesAndFailures:
         assert throttled and all(r.retry_after_s > 0 for r in throttled)
         for result, values in zip(results, self.VALUES * 3):
             assert isinstance(result, RateLimitError) or result.values == values
+
+    def test_a_batch_past_burst_and_retries_completes(self, guarded_server):
+        """Rounds that get any item through do not use up the retries:
+        nine items against a burst of 2 all come back, at the rate."""
+        items = self.ITEMS * 3
+        with RemoteWrapperClient(*guarded_server, api_key=TEST_KEY) as remote:
+            results = remote.extract_many(items)
+        assert [r.values for r in results] == self.VALUES * 3
 
     def test_a_refused_request_fails_every_item(self, guarded_server):
         with RemoteWrapperClient(*guarded_server) as keyless:
