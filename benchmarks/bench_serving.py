@@ -2,9 +2,9 @@
 
 Serving traffic is *per-wrapper* requests: independent clients each ask
 "run this one wrapper on this page".  The baseline is what a deployment
-gets by pointing those requests at the batch engine one call at a time
-(``BatchExtractor(workers=1).extract([job])`` per request — one parse
-per request, no sharing).  The serving layer answers the same request
+gets by pointing those requests at the extraction kernel one call at a
+time (``extract_records([job])`` per request — one parse per request,
+no sharing).  The serving layer answers the same request
 stream through micro-batching + the parse cache on its one worker
 thread; the acceptance bar is ≥ 1.5× the serial-call throughput at
 client concurrency 8 on the full corpus.
@@ -24,12 +24,12 @@ from repro.runtime import (
     ServingConfig,
     serve_jobs,
 )
-from repro.runtime.extractor import BatchExtractor
+from repro.runtime.extractor import extract_records
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_serving.json"
 
-#: Acceptance bar: async serving vs. serial per-request BatchExtractor calls.
+#: Acceptance bar: async serving vs. serial per-request extract_records calls.
 REQUIRED_SPEEDUP = 1.5
 
 CONCURRENCY = 8
@@ -57,9 +57,8 @@ def build_requests(n_snapshots: int) -> list[PageJob]:
 
 
 def serial_calls(requests: list[PageJob]) -> list:
-    """The baseline: one BatchExtractor call per request, in order."""
-    extractor = BatchExtractor(workers=1)
-    return [extractor.extract([job]) for job in requests]
+    """The baseline: one extract_records call per request, in order."""
+    return [extract_records([job]) for job in requests]
 
 
 def serve_stream(requests: list[PageJob]):
@@ -125,6 +124,6 @@ def test_serving_bench(benchmark, emit):
 
     assert throughput["async_1worker_vs_serial_calls"] >= REQUIRED_SPEEDUP, (
         f"async serving is only {throughput['async_1worker_vs_serial_calls']:.2f}x "
-        f"serial BatchExtractor calls at concurrency {CONCURRENCY} "
+        f"serial extract_records calls at concurrency {CONCURRENCY} "
         f"(required: {REQUIRED_SPEEDUP}x)"
     )

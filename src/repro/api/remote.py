@@ -21,7 +21,8 @@ A connection is not thread-safe — give each thread its own client
 (they are cheap: lazy connect, no state beyond the socket).
 :meth:`extract_many` sends a batch over this one connection as
 ``POST /extract_many`` requests, each packed under
-:data:`~repro.api.results.MAX_BODY_BYTES`.
+:data:`~repro.api.results.MAX_BODY_BYTES` and
+:data:`~repro.api.results.MAX_BATCH_ITEMS`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.dom.node import Document
 from repro.dom.serialize import to_html
 from repro.induction.samples import QuerySample
 from repro.api.results import (
+    MAX_BATCH_ITEMS,
     MAX_BODY_BYTES,
     CheckResult,
     ExtractionResult,
@@ -61,13 +63,6 @@ Page = Union[str, Document]
 _RATE_LIMIT_RETRIES = 3
 _RATE_LIMIT_WAIT_CAP_S = 2.0
 
-#: Items per ``/extract_many`` request, on top of the body-size limit.
-#: The server answers a request only when its last item is done, so a
-#: body full of tiny pages (~89,000 items in 8 MiB) would take about a
-#: minute — the default ``read_timeout``.  1024 tiny items take ~0.5 s;
-#: 8 MiB of larger pages ~5 s (2-CPU host).
-_MAX_BATCH_ITEMS = 1024
-
 #: Connect-phase failures (refused, unreachable, timeout before a byte
 #: is exchanged) are retried this many times in all, with jittered
 #: exponential backoff from the base delay up to the cap — they cannot
@@ -83,7 +78,7 @@ def _as_html(page: Page) -> str:
 
 
 def _pack(indexes: list[int], sizes: dict[int, int]):
-    """Greedy runs of ``indexes`` of at most :data:`_MAX_BATCH_ITEMS`
+    """Greedy runs of ``indexes`` of at most :data:`MAX_BATCH_ITEMS`
     whose ``/extract_many`` body stays within :data:`MAX_BODY_BYTES`
     (``sizes`` holds each item's encoded length); an item over the
     limit on its own rides alone."""
@@ -92,7 +87,7 @@ def _pack(indexes: list[int], sizes: dict[int, int]):
     size = 0
     for index in indexes:
         cost = sizes[index] + len(", ")
-        if chunk and (size + cost > budget or len(chunk) == _MAX_BATCH_ITEMS):
+        if chunk and (size + cost > budget or len(chunk) == MAX_BATCH_ITEMS):
             yield chunk
             chunk, size = [], 0
         chunk.append(index)
@@ -427,12 +422,12 @@ class RemoteWrapperClient:
         ``items`` is a sequence of ``(site_key, page)`` pairs, sent as
         ``POST /extract_many`` requests packed greedily under
         :data:`~repro.api.results.MAX_BODY_BYTES` and
-        :data:`_MAX_BATCH_ITEMS` (an item too large on its own rides
-        alone and fails only its own slot).  Per-item failures come back
-        as slots carrying the ``error``/``code`` fields of ``/extract``
-        and become the same typed exceptions; a request that fails as a
-        whole (a transport error, a 401) gives each of its items that
-        exception.  Throttled (429) items are resent after the round's
+        :data:`~repro.api.results.MAX_BATCH_ITEMS` (an item too large on
+        its own rides alone and fails only its own slot).  Per-item
+        failures come back as slots carrying the ``error``/``code``
+        fields of ``/extract`` and become the same typed exceptions; a
+        request that fails as a whole (a transport error, a 401) gives
+        each of its items that exception.  Throttled (429) items are resent after the round's
         largest Retry-After hint, capped at
         :data:`_RATE_LIMIT_WAIT_CAP_S`, in rounds of twice as many items
         as the last round got through; their :class:`RateLimitError`

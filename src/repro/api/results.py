@@ -52,6 +52,13 @@ BEST_ID = "best"
 #: request under.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Most items one ``/extract_many`` request may carry: the network
+#: server answers more with 413 before any item runs, and
+#: ``RemoteWrapperClient.extract_many`` packs each request under it.
+#: An answer waits for its last item, so 8 MiB of tiny pages (~89,000
+#: items) took about a minute; 1024 take ~0.5 s (2-CPU host).
+MAX_BATCH_ITEMS = 1024
+
 
 def facade_meta(artifact: WrapperArtifact) -> dict:
     meta = artifact.provenance.get(FACADE_KEY)
@@ -357,6 +364,7 @@ __all__ = [
     "ExtractionResult",
     "FACADE_KEY",
     "FacadeError",
+    "MAX_BATCH_ITEMS",
     "MAX_BODY_BYTES",
     "WrapperHandle",
     "check_from_records",

@@ -671,9 +671,12 @@ class RouterClient:
         An item whose host fails mid-batch is re-queued against its
         next replica in the following round (with jittered backoff), so
         a host dying under a batch costs a retry — not the batch.
-        Results come back in item order.  An item with no live replica
-        yields the first transport error (naming the host that died);
-        an unroutable (cross-tenant, malformed) key fails per item.
+        Results come back in item order.  An item no replica answered
+        yields the error :meth:`extract` raises for its key: a
+        throttling replica's :class:`RateLimitError`, else the first
+        transport error (naming the host that died), else the ownership
+        rejection; an unroutable (cross-tenant, malformed) key fails
+        per item.
         With ``return_errors`` errors are returned in place, otherwise
         the first one raises after the batch drains.
         """
@@ -691,8 +694,10 @@ class RouterClient:
             pending.append(index)
         cands: dict[int, list[str]] = {}
         pos: dict[int, int] = {index: 0 for index in pending}
+        # Per item, what _with_failover would surface, in its order.
+        last_ratelimit: dict[int, RateLimitError] = {}
         first_remote: dict[int, RemoteError] = {}
-        last_err: dict[int, Exception] = {}
+        first_ownership: dict[int, OwnershipError] = {}
         refreshed = False
         round_no = 0
 
@@ -726,8 +731,9 @@ class RouterClient:
                     break
                 if host is None:
                     results[index] = (
-                        first_remote.get(index)
-                        or last_err.get(index)
+                        last_ratelimit.get(index)
+                        or first_remote.get(index)
+                        or first_ownership.get(index)
                         or RemoteError(
                             f"no live replica reachable for {items[index][0]!r}"
                         )
@@ -771,14 +777,14 @@ class RouterClient:
                                 site_key=items[index][0],
                                 retry_after_s=result.retry_after_s,
                             )
-                            last_err[index] = result
+                            last_ratelimit[index] = result
                             pos[index] += 1
                             next_pending.append(index)
                         elif isinstance(result, OwnershipError):
                             answered += 1
                             if result.epoch > self._epoch and not refreshed:
                                 refresh_now = True
-                            last_err.setdefault(index, result)
+                            first_ownership.setdefault(index, result)
                             pos[index] += 1
                             next_pending.append(index)
                         else:

@@ -9,9 +9,9 @@ This package provides that layer:
   :class:`WrapperArtifact`\\ s bundling the ranked queries, the ensemble
   committee, and the annotated samples they were induced from, with a
   lossless round trip through the dsXPath canonical text;
-* :mod:`repro.runtime.extractor` — a batch extraction engine evaluating
-  many (wrapper, page) pairs with one parse + one document index per
-  page and an optional process-pool fan-out;
+* :mod:`repro.runtime.extractor` — the per-page extraction kernel,
+  evaluating many (wrapper, page) pairs with one parse + one document
+  index per page;
 * :mod:`repro.runtime.drift` — drift detection (empty results,
   canonical-path c-changes, ensemble disagreement votes, all judged by
   the one rule :func:`drift_verdict` that the facade's results use
@@ -60,7 +60,6 @@ from repro.runtime.extractor import (
     ExtractionRecord,
     PageJob,
     extract_document,
-    extract_serial,
     jobs_for_artifacts,
 )
 from repro.runtime.fleet import (
@@ -134,7 +133,6 @@ __all__ = [
     "artifacts_from_path",
     "drift_verdict",
     "extract_document",
-    "extract_serial",
     "induce_corpus_task",
     "jobs_for_artifacts",
     "migrate_directory",

@@ -7,14 +7,14 @@ synthetic archive corpus:
   them as JSON artifacts (flat directory via ``--out``, or a sharded
   artifact store via ``--store``);
 * ``extract`` — load artifacts, render a later snapshot of every
-  covered site, and run the batch extraction engine over all
-  (wrapper, page) pairs;
+  covered site, and run the per-page extraction kernel in process over
+  all (wrapper, page) pairs;
 * ``check`` — replay each wrapper across archive snapshots on the
   sweep's loop, report the first drift (signals + snapshot), and
   optionally auto-repair by re-induction from the stored samples;
-* ``serve`` — run a per-wrapper request stream through the async
-  serving layer (micro-batching + parse cache + backpressure) and
-  report throughput;
+* ``serve`` — serve the :mod:`repro.api` facade over HTTP
+  (``--listen HOST:PORT``), with extraction traffic going through the
+  async serving layer (micro-batching + parse cache + backpressure);
 * ``sweep`` — run the multi-process drift fleet over a sharded store:
   full telemetry streams, repair chains, repaired generations written
   back;
@@ -49,9 +49,9 @@ from repro.induction import InductionConfig, WrapperInducer
 from repro.runtime.artifact import ArtifactError, WrapperArtifact
 from repro.runtime.corpus import induce_corpus_task
 from repro.runtime.drift import DriftConfig, reinduce
-from repro.runtime.extractor import BatchExtractor, PageJob, jobs_for_artifacts
+from repro.runtime.extractor import extract_records, jobs_for_artifacts
 from repro.runtime.fleet import SweepConfig, sweep_store, sweep_wrapper
-from repro.runtime.serve import ServingConfig, serve_jobs_sync
+from repro.runtime.serve import ServingConfig
 from repro.runtime.store import (
     DEFAULT_SHARDS,
     ShardedArtifactStore,
@@ -215,7 +215,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     pairs = sum(len(job.wrappers) for job in jobs)
     started = time.perf_counter()
-    records = BatchExtractor(workers=args.workers).extract(jobs)
+    records = extract_records(jobs)
     elapsed = time.perf_counter() - started
 
     empty = sum(record.is_empty for record in records)
@@ -225,8 +225,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
             preview = preview[:57] + "..."
         print(f"{record.page_id}  {record.wrapper_id}: {record.count} node(s)  {preview}")
     print(
-        f"\n{pairs} (wrapper, page) pairs over {len(jobs)} pages with "
-        f"{args.workers} worker(s) in {elapsed:.2f}s; {empty} empty results"
+        f"\n{pairs} (wrapper, page) pairs over {len(jobs)} pages "
+        f"in {elapsed:.2f}s; {empty} empty results"
     )
     if args.json:
         payload = [
@@ -374,9 +374,11 @@ def _serve_hardening(args: argparse.Namespace):
     return auth, quota, access_log
 
 
-def cmd_serve_listen(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> int:
     """``serve --listen HOST:PORT`` — the facade over TCP."""
     import asyncio
+    import contextlib
+    import signal
 
     from repro.runtime.net import NetConfig, serve_http
 
@@ -419,107 +421,22 @@ def cmd_serve_listen(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    try:
-        asyncio.run(
-            serve_http(
-                client,
-                host,
-                port,
-                config=config,
-                ready=ready,
-                ownership=ownership,
-                epoch=epoch,
+    async def serve() -> None:
+        # SIGINT cancels this task from the event loop: Python 3.10's
+        # default handler raises KeyboardInterrupt inside whichever task
+        # runs, and a connection handler hit that way prints a traceback.
+        with contextlib.suppress(NotImplementedError):  # no loop signals on Windows
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGINT, asyncio.current_task().cancel
             )
+        await serve_http(
+            client, host, port, config=config, ready=ready, ownership=ownership, epoch=epoch
         )
-    except KeyboardInterrupt:
+
+    try:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down")
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    if args.listen:
-        # A listening server replays no stream: ignoring these flags
-        # would fake a run whose stats file never appears.
-        for flag, value, default in (
-            ("--snapshot", args.snapshot, 0),
-            ("--concurrency", args.concurrency, 8),
-            ("--no-ensemble", args.no_ensemble, False),
-            ("--json", args.json, None),
-        ):
-            if value != default:
-                raise SystemExit(f"{flag} does not apply with --listen")
-        return cmd_serve_listen(args)
-    # The one-shot stream replay has no tenancy or shard ownership —
-    # silently ignoring these flags would fake a scoped deployment.
-    for flag, value, default in (
-        ("--tenant", args.tenant, ""),
-        ("--own-shards", args.own_shards, None),
-        ("--shards", args.shards, None),
-        ("--epoch", args.epoch, None),
-        ("--auth-keys", args.auth_keys, ""),
-        ("--rate-limit", args.rate_limit, 0.0),
-        ("--burst", args.burst, 0),
-        ("--max-inflight", args.max_inflight, 0),
-        ("--access-log", args.access_log, ""),
-    ):
-        if value != default:
-            raise SystemExit(f"{flag} requires --listen HOST:PORT")
-    if not args.artifacts:
-        raise SystemExit("serve needs --artifacts (or --listen HOST:PORT)")
-    artifacts = _load_artifacts(pathlib.Path(args.artifacts))
-    specs = _site_specs(artifacts)
-    site_ids = sorted({a.site_id for a in artifacts})
-    page_html = {}
-    for site_id in site_ids:
-        archive = SyntheticArchive(specs[site_id], n_snapshots=args.snapshot + 1)
-        if archive.is_broken(args.snapshot):
-            print(f"skip  {site_id}: snapshot {args.snapshot} is a broken capture")
-            continue
-        page_html[site_id] = to_html(archive.snapshot(args.snapshot))
-
-    # Per-wrapper request stream: what independent serving clients send
-    # (one wrapper per request), so the parse cache has real work to do.
-    requests: list[PageJob] = []
-    for artifact in artifacts:
-        html = page_html.get(artifact.site_id)
-        if html is None:
-            continue
-        wrappers = [(artifact.task_id, artifact.best.text)]
-        if not args.no_ensemble:
-            wrappers += [
-                (f"{artifact.task_id}#m{i}", text)
-                for i, text in enumerate(artifact.ensemble)
-            ]
-        page_id = f"{artifact.site_id}@{args.snapshot}"
-        requests.extend(
-            PageJob(page_id=page_id, html=html, wrappers=((wid, text),))
-            for wid, text in wrappers
-        )
-
-    config = ServingConfig(max_pending=args.max_pending)
-    started = time.perf_counter()
-    results, stats = serve_jobs_sync(requests, config, concurrency=args.concurrency)
-    elapsed = time.perf_counter() - started
-
-    empty = sum(record.is_empty for records in results for record in records)
-    print(
-        f"{stats.requests} requests over {stats.pages_parsed} parsed pages "
-        f"({stats.parse_cache_hits} parse-cache hits) in {stats.batches} batches; "
-        f"{empty} empty results"
-    )
-    print(
-        f"concurrency {args.concurrency}: "
-        f"{elapsed:.2f}s = {len(requests) / elapsed:.0f} requests/s "
-        f"(peak pending {stats.peak_pending})"
-    )
-    if args.json:
-        payload = {
-            "requests": len(requests),
-            "elapsed_s": elapsed,
-            "stats": stats.as_dict(),
-        }
-        pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"serving stats written to {args.json}")
     return 0
 
 
@@ -608,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime",
         description=(
-            "Wrapper lifecycle runtime: induce, batch-extract, drift-check, "
-            "async-serve, fleet-sweep."
+            "Wrapper lifecycle runtime: induce, extract, drift-check, "
+            "serve over HTTP, fleet-sweep, migrate."
         ),
         epilog=(
             "exit codes for check/sweep: 0 = no drift, 1 = drift detected, "
@@ -643,10 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     induce.add_argument("--ensemble-size", type=_COUNT, default=3)
     induce.set_defaults(func=cmd_induce)
 
-    extract = sub.add_parser("extract", help="batch-extract artifacts against a snapshot")
+    extract = sub.add_parser("extract", help="extract artifacts against a snapshot")
     extract.add_argument("--artifacts", required=True, help="artifact directory")
     extract.add_argument("--snapshot", type=_INDEX, default=0, help="archive snapshot index")
-    extract.add_argument("--workers", type=_COUNT, default=1)
     extract.add_argument("--no-ensemble", action="store_true", help="top queries only")
     extract.add_argument("--json", help="write extraction records to this file")
     extract.set_defaults(func=cmd_extract)
@@ -664,34 +580,28 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     serve = sub.add_parser(
-        "serve",
-        help=(
-            "run a request stream through the async serving layer, or "
-            "--listen HOST:PORT to serve the repro.api facade over HTTP"
-        ),
-    )
-    serve.add_argument(
-        "--artifacts",
-        help=(
-            "artifact directory or store (required without --listen; with "
-            "--listen: store root to serve/create, flat dirs are preloaded "
-            "read-only, omit for a fresh in-memory registry)"
-        ),
+        "serve", help="serve the repro.api facade over HTTP (--listen HOST:PORT)"
     )
     serve.add_argument(
         "--listen",
         metavar="HOST:PORT",
+        required=True,
+        help="address to serve on (port 0 picks an ephemeral port, printed on start)",
+    )
+    serve.add_argument(
+        "--artifacts",
         help=(
-            "serve the facade protocol over HTTP instead of replaying a "
-            "one-shot stream (port 0 picks an ephemeral port, printed on start)"
+            "store root to serve (created if missing); a flat artifact "
+            "directory is preloaded read-only; omit for a fresh in-memory "
+            "registry"
         ),
     )
     serve.add_argument(
         "--own-shards",
         metavar="N,M,...",
         help=(
-            "with --listen: serve only these shard indexes, answering a "
-            "typed 421 shard_not_owned error for keys that place elsewhere "
+            "serve only these shard indexes, answering a typed 421 "
+            "shard_not_owned error for keys that place elsewhere "
             "(cluster members behind a RouterClient)"
         ),
     )
@@ -708,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant",
         default="",
         help=(
-            "with --listen: scope the server into one tenant namespace "
-            "(site keys are qualified as tenant::key)"
+            "scope the server into one tenant namespace (site keys are "
+            "qualified as tenant::key)"
         ),
     )
     serve.add_argument(
@@ -717,9 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_INDEX,
         default=None,
         help=(
-            "with --listen: the placement epoch this host serves at, "
-            "advertised in /healthz and stamped into 421 payloads "
-            "(default: the backing store's recorded epoch, else 0)"
+            "the placement epoch this host serves at, advertised in "
+            "/healthz and stamped into 421 payloads (default: the backing "
+            "store's recorded epoch, else 0)"
         ),
     )
     serve.add_argument(
@@ -727,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default="",
         help=(
-            "with --listen: enforce per-tenant API keys from this file "
-            "(one '<key> [tenant]' per line, '*' = admin; falls back to "
+            "enforce per-tenant API keys from this file (one "
+            "'<key> [tenant]' per line, '*' = admin; falls back to "
             "$REPRO_AUTH_KEYS; omit both for an open server)"
         ),
     )
@@ -738,8 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="R",
         help=(
-            "with --listen: per-tenant token-bucket rate in requests/s "
-            "(0 = unlimited); throttled requests get 429 + Retry-After"
+            "per-tenant token-bucket rate in requests/s (0 = unlimited); "
+            "throttled requests get 429 + Retry-After"
         ),
     )
     serve.add_argument(
@@ -747,45 +657,32 @@ def build_parser() -> argparse.ArgumentParser:
         type=_INDEX,
         default=0,
         metavar="N",
-        help=(
-            "with --listen: token-bucket capacity (default: one second "
-            "of --rate-limit refill)"
-        ),
+        help="token-bucket capacity (default: one second of --rate-limit refill)",
     )
     serve.add_argument(
         "--max-inflight",
         type=_INDEX,
         default=0,
         metavar="N",
-        help=(
-            "with --listen: cap on one tenant's concurrent in-flight "
-            "requests (0 = unlimited)"
-        ),
+        help="cap on one tenant's concurrent in-flight requests (0 = unlimited)",
     )
     serve.add_argument(
         "--limiter-tenants",
         type=_COUNT,
         default=1024,
         metavar="N",
-        help=(
-            "with --listen: LRU bound on per-tenant limiter/metrics "
-            "state (default: 1024)"
-        ),
+        help="LRU bound on per-tenant limiter/metrics state (default: 1024)",
     )
     serve.add_argument(
         "--access-log",
         metavar="FILE",
         default="",
         help=(
-            "with --listen: append one JSONL record per answered request "
-            "(tenant, verb, status, latency_ms)"
+            "append one JSONL record per answered request (tenant, verb, "
+            "status, latency_ms)"
         ),
     )
-    serve.add_argument("--snapshot", type=_INDEX, default=0, help="archive snapshot index")
-    serve.add_argument("--concurrency", type=_COUNT, default=8, help="client concurrency")
     serve.add_argument("--max-pending", type=_COUNT, default=64, help="admission queue bound")
-    serve.add_argument("--no-ensemble", action="store_true", help="top queries only")
-    serve.add_argument("--json", help="write serving stats to this file")
     serve.set_defaults(func=cmd_serve)
 
     sweep = sub.add_parser(

@@ -1,37 +1,30 @@
-"""Batch extraction: many (wrapper, page) pairs, amortized per page.
+"""Extraction: many (wrapper, page) pairs, one parse per page.
 
-The naive deployment loop (:func:`extract_serial`) treats every
-(wrapper, page) pair independently: parse the page, build its document
-index, evaluate one query.  Parsing + indexing dominate single-query
-evaluation, so when several wrappers target the same page — every site
-runs multiple extraction tasks, and every artifact carries an ensemble —
-that loop re-pays the dominant cost per *pair*.
+A naive deployment loop treats every (wrapper, page) pair on its own:
+parse the page, build its document index, evaluate one query.  Parsing
+and indexing dominate single-query evaluation, so when several
+wrappers target the same page (every site runs multiple extraction
+tasks, and every artifact carries an ensemble) that loop re-pays the
+dominant cost per *pair*.
 
-:class:`BatchExtractor` groups the pairs by page: one parse + one
-document index per page, all queries evaluated against it through the
-globally memoized text-plan cache
+:func:`extract_pages` is the one per-page kernel: one parse and one
+document index per page, every wrapper evaluated against it through
+the globally memoized text-plan cache
 (:func:`repro.xpath.compile.compile_text`, shared across pages since
-plans are document independent) — or through plans an artifact
-pre-compiled at load time (``plans=`` on
-:func:`extract_document`).  With ``workers > 1`` page groups fan out
-over a :class:`~concurrent.futures.ProcessPoolExecutor`; jobs and
-records are plain picklable values (HTML text in, canonical paths +
-normalized text out), so nothing heavier than strings crosses process
-boundaries.
-
-:func:`extract_pages` is the one per-page kernel: the batch engine runs
-it in process and in its pool workers, and the serving layer
+plans are document independent) or through plans an artifact
+pre-compiled at load time (``plans=`` on :func:`extract_document`).
+:func:`extract_records` runs it in process over a list of
+:class:`PageJob`\\ s (the CLI's ``extract``), and the serving layer
 (:mod:`repro.runtime.serve`) runs it on its thread with a parse cache.
 
-``benchmarks/bench_runtime.py`` records the speedup over the serial
+``benchmarks/bench_runtime.py`` records the speedup over the per-pair
 loop on the full corpus in ``BENCH_runtime.json``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.dom.node import AttributeNode, Document, Node
 from repro.dom.parser import parse_html
@@ -119,21 +112,6 @@ def extract_document(
     return records
 
 
-def extract_serial(jobs: Iterable[PageJob]) -> list[ExtractionRecord]:
-    """The naive per-pair loop: one parse per (wrapper, page) pair.
-
-    This is the baseline the batch engine is measured against — exactly
-    what a deployment gets by calling "extract(wrapper, html)" in a loop
-    over its wrapper store.
-    """
-    records: list[ExtractionRecord] = []
-    for job in jobs:
-        for wrapper_id, text in job.wrappers:
-            doc = parse_html(job.html)
-            records.extend(extract_document(doc, [(wrapper_id, text)], job.page_id))
-    return records
-
-
 #: One page's answer from :func:`extract_pages`: the exception that kept
 #: the page from parsing, or one slot per wrapper — its record, or the
 #: exception that wrapper raised.
@@ -152,7 +130,6 @@ def extract_pages(
     without one every page is parsed.  Returns one :data:`PageSlots` per
     page, in order, and the parse counts: ``parsed`` (parses performed),
     ``cache_hits`` (parses the cache absorbed), ``cache_evictions``.
-    Arguments and results pickle, so pool workers run it as well.
     """
     out: list[PageSlots] = []
     stats = {"parsed": 0, "cache_hits": 0, "cache_evictions": 0}
@@ -179,52 +156,23 @@ def extract_pages(
     return out, stats
 
 
-class BatchExtractor:
-    """Evaluate many (wrapper, page) pairs with per-page amortization.
+def extract_records(jobs: Sequence[PageJob]) -> list[ExtractionRecord]:
+    """Run :func:`extract_pages` over ``jobs`` in process.
 
-    ``workers=1`` runs in-process; ``workers>1`` splits the page list
-    into contiguous chunks and fans them out over a process pool that
-    lives for one :meth:`extract` call.  Record order always matches
-    the job order (per page, wrappers in job order), so callers can zip
-    results against their inputs.  A page that fails to parse, or a
-    wrapper that fails to evaluate, raises its original exception.
+    Records come back in job order (per page, wrappers in job order),
+    so callers can zip them against their inputs.  A page that fails to
+    parse, or a wrapper that fails to evaluate, raises its exception.
     """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def extract(self, jobs: Sequence[PageJob]) -> list[ExtractionRecord]:
-        payload = [(job.page_id, job.html, job.wrappers) for job in jobs]
-        if self.workers == 1 or len(payload) < 2:
-            pages, _ = extract_pages(payload)
-        else:
-            chunks = self._chunk(payload, min(self.workers, len(payload)))
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                pages = [
-                    page for part, _ in pool.map(extract_pages, chunks) for page in part
-                ]
-        records: list[ExtractionRecord] = []
-        for page in pages:
-            if isinstance(page, Exception):
-                raise page
-            for slot in page:
-                if isinstance(slot, Exception):
-                    raise slot
-                records.append(slot)
-        return records
-
-    @staticmethod
-    def _chunk(payload: list, n: int) -> list[list]:
-        size, extra = divmod(len(payload), n)
-        chunks, start = [], 0
-        for i in range(n):
-            end = start + size + (1 if i < extra else 0)
-            if end > start:
-                chunks.append(payload[start:end])
-            start = end
-        return chunks
+    pages, _ = extract_pages([(job.page_id, job.html, job.wrappers) for job in jobs])
+    records: list[ExtractionRecord] = []
+    for page in pages:
+        if isinstance(page, Exception):
+            raise page
+        for slot in page:
+            if isinstance(slot, Exception):
+                raise slot
+            records.append(slot)
+    return records
 
 
 def jobs_for_artifacts(

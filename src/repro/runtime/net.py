@@ -32,13 +32,14 @@ or ``{"status": S, "error": ..., "code": ...}`` on a per-item failure —
 the inner payloads are byte-identical to ``/extract`` responses, which
 keeps every remote/router backend parity-exact.  Per-item gates
 (403/404/421/422/429) fail the *slot*, never the batch; only
-authentication (401) rejects the whole request.  At most
+authentication (401) and a request of more than
+:data:`~repro.api.results.MAX_BATCH_ITEMS` items (413, answered before
+any item runs) reject the whole request.  At most
 ``ServingConfig.max_pending`` items of one request are in flight at a
-time, so a large batch costs the server a bounded amount of memory —
-and never more than the per-tenant in-flight quota, so a batch does
-not throttle its own items.  It is the one transport of every remote
-``extract_many``: clients pack a batch into requests under
-:data:`~repro.api.results.MAX_BODY_BYTES` and 1024 items.
+time, and never more than the per-tenant in-flight quota, so a batch
+does not throttle its own items.  It is the one transport of every
+remote ``extract_many``: clients pack a batch into requests under
+:data:`~repro.api.results.MAX_BODY_BYTES` and ``MAX_BATCH_ITEMS``.
 
 Traffic hardening (ROADMAP's "safe to point the internet at", all
 **off by default** — a no-auth launch behaves exactly as before):
@@ -78,7 +79,8 @@ Request routing by cost:
 
 Failure containment: malformed JSON or a wrongly typed field → 400,
 unknown wrapper → 404, oversized body → 413 (bounded by
-``NetConfig.max_body_bytes`` *before* the body is read), a key placing
+``NetConfig.max_body_bytes`` *before* the body is read, and for
+``/extract_many`` by ``MAX_BATCH_ITEMS``), a key placing
 into a shard this host does not own → 421 with code
 ``shard_not_owned`` (cluster members launched with ``--own-shards``;
 the body names the wanted shard and the owned group), an unusable
@@ -103,6 +105,7 @@ from urllib.parse import unquote
 
 from repro.api.client import WrapperClient
 from repro.api.results import (
+    MAX_BATCH_ITEMS,
     MAX_BODY_BYTES,
     FacadeError,
     check_from_records,
@@ -290,6 +293,8 @@ class WrapperHTTPServer:
         self.epoch = int(epoch)
         self._serving: Optional[AsyncExtractionServer] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Open connections: handler task -> its writer (see aclose()).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._address: Optional[tuple[str, int]] = None
         # Hardening state (None everywhere = the seed-era open server).
         self._auth = self.config.auth
@@ -486,6 +491,13 @@ class WrapperHTTPServer:
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Hang up on open connections and let their handlers finish:
+            # on Python 3.12+ wait_closed() waits for every connection,
+            # so one idle keep-alive client would block shutdown.
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._serving is not None:
@@ -498,9 +510,12 @@ class WrapperHTTPServer:
             self._access_log.close()
 
     async def serve_forever(self) -> None:
+        """Wait until cancelled; ``start()`` already serves.  (On Python
+        3.12+ ``asyncio.Server.serve_forever`` would, once cancelled,
+        wait for every open connection before ``aclose()`` runs.)"""
         if self._server is None:
             raise RuntimeError("server is not started")
-        await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def __aenter__(self) -> "WrapperHTTPServer":
         await self.start()
@@ -527,6 +542,8 @@ class WrapperHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 started = time.perf_counter()
@@ -570,6 +587,7 @@ class WrapperHTTPServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished; nothing to answer
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -960,6 +978,12 @@ class WrapperHTTPServer:
         items = payload.get("items")
         if not isinstance(items, list):
             raise _HTTPError(400, "missing or invalid field 'items'")
+        if len(items) > MAX_BATCH_ITEMS:
+            raise _HTTPError(
+                413,
+                f"{len(items)} items exceed the limit of {MAX_BATCH_ITEMS} "
+                "items per /extract_many request",
+            )
         slots: list = [None] * len(items)
         indexes = iter(range(len(items)))
 

@@ -1,6 +1,6 @@
 """Async serving layer over the per-page extraction kernel.
 
-:class:`~repro.runtime.extractor.BatchExtractor` is a *batch* API: the
+:func:`~repro.runtime.extractor.extract_records` is a *batch* API: the
 caller already holds every (wrapper, page) pair and wants them all.  A
 serving deployment sees the opposite shape — many independent callers
 each asking "run this wrapper on this page, now".
@@ -31,7 +31,7 @@ request/response front-end:
 ``benchmarks/bench_serving.py`` measures the result on the full corpus
 and writes ``BENCH_serving.json``: at client concurrency 8 the server
 must clear ≥ 1.5× the throughput of serial per-request
-``BatchExtractor`` calls.
+``extract_records`` calls.
 """
 
 from __future__ import annotations
@@ -216,8 +216,7 @@ class AsyncExtractionServer:
     Use as an async context manager::
 
         async with AsyncExtractionServer(ServingConfig()) as server:
-            records = await server.extract_info(job)      # one request
-            all_records = await server.extract_many(jobs) # a stream
+            records = await server.extract_info(job)
 
     The server must be started from within a running event loop; the
     dispatcher task and the worker thread live until ``aclose()``.
@@ -332,21 +331,6 @@ class AsyncExtractionServer:
         self.stats.peak_pending = max(self.stats.peak_pending, self._queue.qsize())
         return await pending.future
 
-    async def extract_many(
-        self, jobs: Sequence[PageJob], concurrency: int = 8
-    ) -> list[list[ExtractionRecord]]:
-        """Serve a request stream at bounded client concurrency; results
-        align with ``jobs``.  Per-request failures propagate."""
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        gate = asyncio.Semaphore(concurrency)
-
-        async def one(job: PageJob) -> list[ExtractionRecord]:
-            async with gate:
-                return await self.extract_info(job)
-
-        return list(await asyncio.gather(*(one(job) for job in jobs)))
-
     # -- dispatcher ---------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
@@ -414,11 +398,20 @@ async def serve_jobs(
     config: Optional[ServingConfig] = None,
     concurrency: int = 8,
 ) -> tuple[list[list[ExtractionRecord]], ServerStats]:
-    """Run a request stream through a fresh server (the CLI/bench entry
-    point): returns per-request records plus the server's counters."""
+    """Run a request stream through a fresh server at bounded client
+    concurrency: returns per-request records, aligned with ``jobs``,
+    plus the server's counters.  Per-request failures propagate."""
+    if concurrency < 1:
+        raise ValueError("concurrency must be >= 1")
+    gate = asyncio.Semaphore(concurrency)
     async with AsyncExtractionServer(config) as server:
-        results = await server.extract_many(jobs, concurrency=concurrency)
-        return results, server.stats
+
+        async def one(job: PageJob) -> list[ExtractionRecord]:
+            async with gate:
+                return await server.extract_info(job)
+
+        results = await asyncio.gather(*(one(job) for job in jobs))
+        return list(results), server.stats
 
 
 def serve_jobs_sync(

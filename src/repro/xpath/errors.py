@@ -16,5 +16,6 @@ class XPathParseError(XPathError):
 
     def __reduce__(self):
         # Rebuilt from the constructor's arguments, so the error survives
-        # the pickle trip back from a BatchExtractor pool worker.
+        # the pickle trip back from a process-pool worker: the sweep
+        # fleet's (``sweep --workers``) or ``repro.sitegen``'s sweep pool.
         return type(self), (self.message, self.text, self.position)

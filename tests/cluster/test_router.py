@@ -17,6 +17,7 @@ from repro import (
     ClusterMap,
     FacadeError,
     OwnershipError,
+    RateLimitError,
     RemoteError,
     RemoteWrapperClient,
     RouterClient,
@@ -151,6 +152,62 @@ class TestRouter:
             health = router.healthz()
             assert health[live_even]["ok"] is True
             assert health[dead]["ok"] is False and "error" in health[dead]
+
+
+class _ErrorHost:
+    """A stand-in host client whose every answer is one error."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def extract(self, site_key, page):
+        raise self.error
+
+    def extract_many(self, items, *, return_errors=False):
+        return [self.error] * len(items)
+
+    def close(self):
+        pass
+
+
+def _dead(host):
+    name, _, port = host.rpartition(":")
+    return RemoteError(f"{host} refused the connection", host=name, port=int(port))
+
+
+def _throttled(host):
+    return RateLimitError(f"{host} throttled the tenant", retry_after_s=0.0)
+
+
+def _misrouted(host):
+    return OwnershipError(f"{host} does not own the key", site_key=EVEN_KEY)
+
+
+class TestReplicaErrorPrecedence:
+    """When no replica answers, ``extract_many`` surfaces the error
+    ``extract`` raises: a throttle, else the dead host, else the
+    ownership rejection."""
+
+    @pytest.mark.parametrize(
+        "primary, secondary, expected",
+        [
+            (_dead, _throttled, RateLimitError),
+            (_throttled, _dead, RateLimitError),
+            (_dead, _misrouted, RemoteError),
+            (_misrouted, _throttled, RateLimitError),
+        ],
+        ids=["dead-throttled", "throttled-dead", "dead-misrouted", "misrouted-throttled"],
+    )
+    def test_both_verbs_raise_the_same_error(self, primary, secondary, expected):
+        with RouterClient(ClusterMap(("127.0.0.1:1", "127.0.0.1:2"), 8)) as router:
+            first, second = router.replica_hosts(EVEN_KEY)
+            router._clients[first] = _ErrorHost(primary(first))
+            router._clients[second] = _ErrorHost(secondary(second))
+            with pytest.raises(FacadeError) as info:
+                router.extract(EVEN_KEY, PRICE_V1)
+            (batched,) = router.extract_many([(EVEN_KEY, PRICE_V1)], return_errors=True)
+        assert type(info.value) is expected
+        assert type(batched) is expected
 
 
 class TestSharedStoreCluster:
@@ -349,7 +406,8 @@ class TestTenantIsolation:
 
     def test_cluster_flags_without_listen_are_rejected(self):
         """`serve` without --listen must refuse --tenant/--own-shards/
-        --shards instead of silently faking a scoped deployment."""
+        --shards instead of silently faking a scoped deployment: every
+        serve flag needs --listen, which argparse requires."""
         import subprocess
         import sys
 
@@ -368,7 +426,7 @@ class TestTenantIsolation:
                 text=True,
             )
             assert proc.returncode == 2
-            assert "requires --listen" in proc.stderr
+            assert "required: --listen" in proc.stderr
             assert "Traceback" not in proc.stderr
 
     def test_remote_tenants_are_isolated_over_the_wire(self, cluster_hosts):

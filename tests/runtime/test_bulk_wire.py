@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.api import remote as remote_module
 from repro.api.remote import AuthError, RateLimitError, RemoteWrapperClient
-from repro.api.results import FacadeError
+from repro.api.results import MAX_BATCH_ITEMS, FacadeError
 from repro.runtime.auth import QuotaConfig
 from repro.runtime.net import NetConfig, WrapperHTTPServer
 from repro.runtime.serve import ServingConfig
@@ -247,6 +247,40 @@ class TestWireProtocol:
 
         run(go())
 
+    def test_a_request_over_the_item_cap_is_refused_whole(self):
+        """One item more than ``MAX_BATCH_ITEMS``: 413, before any item
+        reaches the serving layer."""
+        items = [{"site_key": "shop/name", "html": TITLE_PAGE}] * (MAX_BATCH_ITEMS + 1)
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                status, _, body = await json_exchange(
+                    host, port, request_bytes("/extract_many", {"items": items})
+                )
+                assert status == 413
+                assert body["code"] == "payload_too_large"
+                assert f"limit of {MAX_BATCH_ITEMS} items" in body["error"]
+                assert server.serving_stats.requests == 0
+
+        run(go())
+
+    def test_a_request_at_the_item_cap_is_served(self):
+        items = [{"site_key": "shop/name", "html": TITLE_PAGE}] * MAX_BATCH_ITEMS
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                status, _, body = await json_exchange(
+                    host, port, request_bytes("/extract_many", {"items": items})
+                )
+                assert status == 200
+                assert len(body["results"]) == MAX_BATCH_ITEMS
+                assert {slot["status"] for slot in body["results"]} == {200}
+                assert server.serving_stats.requests == MAX_BATCH_ITEMS
+
+        run(go())
+
 
 @pytest.fixture(scope="module")
 def live_server():
@@ -347,7 +381,7 @@ class TestBatchPacking:
         assert server.metrics.as_payload()["by_status"] == {"200": len(sizes)}
 
     def test_batches_are_capped_in_items(self, monkeypatch):
-        monkeypatch.setattr(remote_module, "_MAX_BATCH_ITEMS", 7)
+        monkeypatch.setattr(remote_module, "MAX_BATCH_ITEMS", 7)
         server = WrapperHTTPServer(deployed_client())
         op_extract_many = server._op_extract_many
         sizes = []

@@ -58,8 +58,6 @@ class TestExtract:
                 str(artifact_dir),
                 "--snapshot",
                 "1",
-                "--workers",
-                "2",
                 "--json",
                 str(records_path),
             ]
@@ -200,38 +198,18 @@ class TestStoreWorkflow:
 
 
 class TestServe:
-    def test_serves_request_stream_with_stats(self, store_dir, tmp_path, capsys):
-        stats_path = tmp_path / "serve.json"
-        rc = main(
-            [
-                "serve",
-                "--artifacts",
-                str(store_dir),
-                "--snapshot",
-                "1",
-                "--concurrency",
-                "4",
-                "--json",
-                str(stats_path),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "requests over" in out and "requests/s" in out
-        stats = json.loads(stats_path.read_text())
-        assert stats["stats"]["requests"] == stats["requests"]
-        # One wrapper per request: repeats of a page hit the parse cache.
-        assert stats["stats"]["parse_cache_hits"] > 0
-        assert stats["stats"]["pages_parsed"] < stats["requests"]
-
-    def test_workers_flag_is_gone(self, store_dir):
+    def test_workers_flag_is_gone(self, store_dir, capsys):
         """Serving runs on one thread with no per-site limits; the
         process mode, the per-site semaphores and their flags were
         removed."""
         for flag in ("--workers", "--per-site-limit"):
             with pytest.raises(SystemExit) as exit_info:
-                main(["serve", "--artifacts", str(store_dir), flag, "2"])
+                main(
+                    ["serve", "--listen", "127.0.0.1:0", "--artifacts",
+                     str(store_dir), flag, "2"]
+                )
             assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestServeListen:
@@ -264,7 +242,7 @@ class TestServeListen:
         with pytest.raises(SystemExit) as exit_info:
             main(["serve"])
         assert exit_info.value.code == 2
-        assert "--artifacts" in capsys.readouterr().err
+        assert "required: --listen" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -304,15 +282,16 @@ BAD_INVOCATIONS = [
     (["sweep", "--store", "{tmp}", "--workers", "0"], "--workers: must be >= 1"),
     (["check", "--artifacts", "{tmp}", "--snapshots", "0"], "--snapshots: must be >= 2"),
     (["check", "--artifacts", "{tmp}", "--snapshots", "1"], "--snapshots: must be >= 2"),
-    (["extract", "--artifacts", "{tmp}", "--workers", "0"], "--workers: must be >= 1"),
+    (["extract", "--artifacts", "{tmp}", "--workers", "0"], "unrecognized arguments: --workers 0"),
     (["extract", "--artifacts", "{tmp}", "--snapshot", "-1"], "--snapshot: must be >= 0"),
-    (["serve", "--artifacts", "{tmp}", "--max-pending", "0"], "--max-pending: must be >= 1"),
-    (["serve", "--artifacts", "{tmp}", "--concurrency", "0"], "--concurrency: must be >= 1"),
+    (["serve", "--listen", "127.0.0.1:0", "--max-pending", "0"], "--max-pending: must be >= 1"),
+    (["serve", "--artifacts", "{tmp}", "--concurrency", "0"], "required: --listen"),
     (["serve", "--listen", "127.0.0.1:0", "--epoch", "-1"], "--epoch: must be >= 0"),
-    (["serve", "--listen", "127.0.0.1:0", "--snapshot", "3"], "--snapshot does not apply with --listen"),
-    (["serve", "--listen", "127.0.0.1:0", "--concurrency", "99"], "--concurrency does not apply with --listen"),
-    (["serve", "--listen", "127.0.0.1:0", "--no-ensemble"], "--no-ensemble does not apply with --listen"),
-    (["serve", "--listen", "127.0.0.1:0", "--json", "{tmp}/x.json"], "--json does not apply with --listen"),
+    # The stream replay and its flags are gone: serve always listens.
+    (["serve", "--listen", "127.0.0.1:0", "--snapshot", "3"], "unrecognized arguments: --snapshot 3"),
+    (["serve", "--listen", "127.0.0.1:0", "--concurrency", "99"], "unrecognized arguments: --concurrency 99"),
+    (["serve", "--listen", "127.0.0.1:0", "--no-ensemble"], "unrecognized arguments: --no-ensemble"),
+    (["serve", "--listen", "127.0.0.1:0", "--json", "{tmp}/x.json"], "unrecognized arguments: --json"),
     (["induce", "--out", "{tmp}", "--k", "0"], "--k: must be >= 1"),
     (["induce", "--out", "{tmp}", "--limit", "-1"], "--limit: must be >= 1"),
     (["induce", "--out", "{tmp}", "--ensemble-size", "0"], "--ensemble-size: must be >= 1"),

@@ -1,5 +1,5 @@
-"""Batch extraction engine: equivalence with the serial loop, worker
-fan-out, grouping, node-reference fidelity, and the per-page kernel's
+"""Extraction: one parse per page matches the per-pair loop, record
+order, grouping, node-reference fidelity, and the per-page kernel's
 failure isolation."""
 
 import pytest
@@ -12,10 +12,9 @@ from repro.runtime import (
     PageJob,
     WrapperArtifact,
     extract_document,
-    extract_serial,
     jobs_for_artifacts,
 )
-from repro.runtime.extractor import BatchExtractor, extract_pages
+from repro.runtime.extractor import extract_pages, extract_records
 from repro.sites import single_node_tasks
 from repro.xpath.errors import XPathParseError
 
@@ -45,17 +44,17 @@ def corpus_jobs():
 
 class TestSerialBatchEquivalence:
     def test_batch_matches_serial_loop(self, corpus_jobs):
-        assert BatchExtractor(workers=1).extract(corpus_jobs) == extract_serial(
-            corpus_jobs
-        )
-
-    def test_worker_fanout_matches_inprocess(self, corpus_jobs):
-        in_process = BatchExtractor(workers=1).extract(corpus_jobs)
-        fanned_out = BatchExtractor(workers=2).extract(corpus_jobs)
-        assert fanned_out == in_process
+        """One parse per page answers what one parse per (wrapper, page)
+        pair answers."""
+        per_pair = [
+            PageJob(job.page_id, job.html, (wrapper,))
+            for job in corpus_jobs
+            for wrapper in job.wrappers
+        ]
+        assert extract_records(corpus_jobs) == extract_records(per_pair)
 
     def test_record_order_follows_job_order(self, corpus_jobs):
-        records = BatchExtractor(workers=2).extract(corpus_jobs)
+        records = extract_records(corpus_jobs)
         expected = [
             (job.page_id, wrapper_id)
             for job in corpus_jobs
@@ -64,7 +63,7 @@ class TestSerialBatchEquivalence:
         assert [(r.page_id, r.wrapper_id) for r in records] == expected
 
     def test_results_are_nonempty_on_snapshot0(self, corpus_jobs):
-        records = BatchExtractor(workers=1).extract(corpus_jobs)
+        records = extract_records(corpus_jobs)
         assert records and all(not r.is_empty for r in records)
 
 
@@ -107,22 +106,6 @@ class TestJobConstruction:
             members = [i for i in ids if "#m" in i]
             assert members, "ensemble members missing from jobs"
 
-    def test_chunking_covers_all_jobs_without_overlap(self):
-        payload = list(range(7))
-        chunks = BatchExtractor._chunk(payload, 3)
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert [x for chunk in chunks for x in chunk] == payload
-
-    def test_more_workers_than_jobs(self):
-        doc_html = to_html(document(E("html", E("body", E("p", "x")))))
-        jobs = [PageJob("p1", doc_html, (("w", "descendant::p"),))] * 2
-        records = BatchExtractor(workers=8).extract(jobs)
-        assert len(records) == 2
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            BatchExtractor(workers=0)
-
 
 BAD_QUERY = "not a query (("
 
@@ -132,9 +115,9 @@ def _page_html() -> str:
 
 
 class TestPageKernel:
-    """``extract_pages``: the one per-page kernel behind the batch
-    engine and the serving layer (whose tests cover its parse cache
-    and page-level failures)."""
+    """``extract_pages``: the one per-page kernel behind
+    ``extract_records`` and the serving layer (whose tests cover its
+    parse cache and page-level failures)."""
 
     def test_failing_wrapper_fails_only_its_slot(self):
         wrappers = (("a", "descendant::p"), ("bad", BAD_QUERY), ("b", "descendant::body"))
@@ -145,12 +128,11 @@ class TestPageKernel:
         assert (last.wrapper_id, last.count) == ("b", 1)
         assert stats == {"parsed": 1, "cache_hits": 0, "cache_evictions": 0}
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_raises_the_failing_wrappers_exception(self, workers):
+    def test_batch_raises_the_failing_wrappers_exception(self):
         html = _page_html()
         jobs = [
             PageJob("p1", html, (("a", "descendant::p"),)),
             PageJob("p2", html, (("bad", BAD_QUERY),)),
         ]
         with pytest.raises(XPathParseError, match="trailing input"):
-            BatchExtractor(workers=workers).extract(jobs)
+            extract_records(jobs)

@@ -22,7 +22,7 @@ from repro.runtime import (
     WrapperArtifact,
     reinduce,
 )
-from repro.runtime.extractor import BatchExtractor
+from repro.runtime.extractor import extract_records
 from repro.scoring.ranking import fbeta
 from repro.sites import single_node_tasks
 from repro.xpath.canonical import c_changes, canonical_key
@@ -94,7 +94,7 @@ def _run_lifecycle(task_id, tmp_path):
             html=to_html(doc),
             wrappers=((artifact.task_id, artifact.best.text),),
         )
-        (record,) = BatchExtractor(workers=1).extract([job])
+        (record,) = extract_records([job])
         report = detector.check(artifact, doc, snapshot=index)
         replayed += 1
         # The detector and the extraction engine must agree on emptiness.
@@ -183,6 +183,6 @@ def test_replay_window_spans_20_snapshots(tmp_path):
             )
         )
     assert len(jobs) >= 20
-    records = BatchExtractor(workers=2).extract(jobs)
+    records = extract_records(jobs)
     assert len(records) == len(jobs)
     assert all(not record.is_empty for record in records)

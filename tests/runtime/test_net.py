@@ -722,6 +722,32 @@ class TestConfig:
         run(go())
 
 
+class TestShutdown:
+    def test_sigint_stops_a_server_with_a_keep_alive_client_connected(self):
+        """An idle keep-alive connection must not hold ``serve --listen``
+        open after SIGINT, nor make its shutdown print a traceback."""
+        import signal
+        import subprocess
+
+        from repro import RemoteWrapperClient
+        from tests.serving_utils import spawn_listen, terminate
+
+        proc, host, port = spawn_listen()
+        try:
+            with RemoteWrapperClient(host, port) as client:
+                assert client.healthz()["ok"] is True
+                proc.send_signal(signal.SIGINT)
+                try:
+                    output, _ = proc.communicate(timeout=10)
+                except subprocess.TimeoutExpired:
+                    pytest.fail("serve --listen still running 10 s after SIGINT")
+        finally:
+            terminate([proc])
+        assert proc.returncode == 0
+        assert "shutting down" in output
+        assert "Traceback" not in output
+
+
 class TestInduceWire:
     """The induce-side fast-path surface: dedicated executor metrics,
     the ``options`` wire field, and ``induce_ms`` in the access log."""

@@ -16,7 +16,7 @@ from repro.runtime import (
     serve_jobs,
     serve_jobs_sync,
 )
-from repro.runtime.extractor import BatchExtractor
+from repro.runtime.extractor import extract_records
 
 PAGE_A = """
 <html><body>
@@ -50,7 +50,7 @@ class TestCorrectness:
             async with AsyncExtractionServer() as server:
                 return await server.extract_info(request)
 
-        assert run(go()) == BatchExtractor().extract([request])
+        assert run(go()) == extract_records([request])
 
     def test_stream_matches_serial_calls_request_for_request(self):
         requests = [
@@ -61,8 +61,7 @@ class TestCorrectness:
             job("site-a@1", PAGE_A, ("t", TITLE), ("p", PRICE)),
         ] * 4
         results, stats = serve_jobs_sync(requests, concurrency=4)
-        extractor = BatchExtractor()
-        assert results == [extractor.extract([request]) for request in requests]
+        assert results == [extract_records([request]) for request in requests]
         assert stats.requests == len(requests)
 
     def test_duplicate_wrapper_ids_with_different_queries_stay_distinct(self):

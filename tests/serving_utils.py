@@ -63,7 +63,8 @@ def terminate(procs, timeout: float = 10.0) -> None:
     A server that ignores SIGTERM past ``timeout`` (wedged event loop,
     blocked executor thread) is escalated to ``kill()`` and always
     reaped with a final ``wait()`` — a leaked subprocess outlives the
-    test run and holds its port.
+    test run and holds its port.  Each reaped server's stdout pipe is
+    closed.
     """
     for proc in procs:
         proc.terminate()
@@ -77,6 +78,9 @@ def terminate(procs, timeout: float = 10.0) -> None:
         proc.kill()
     for proc in stubborn:
         proc.wait()
+    for proc in procs:
+        if proc.stdout is not None:
+            proc.stdout.close()
 
 
 __all__ = ["spawn_listen", "terminate"]

@@ -146,6 +146,21 @@ class TestErrors:
         with pytest.raises(XPathParseError):
             parse_query("descendant::div[§]")
 
+    def test_error_survives_a_pickle_round_trip(self):
+        """Process-pool workers (the sweep fleet's, the sitegen sweep's)
+        send a wrapper's parse error back pickled."""
+        import pickle
+
+        with pytest.raises(XPathParseError) as info:
+            parse_query("not a query ((")
+        error = info.value
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is XPathParseError
+        assert (copy.message, copy.text, copy.position) == (
+            error.message, error.text, error.position,
+        )
+        assert str(copy) == str(error)
+
 
 class TestRoundTrip:
     QUERIES = [
