@@ -42,6 +42,7 @@ from bench_runtime import build_fleet, timeit
 from conftest import scale
 
 from repro import ClusterMap, RemoteWrapperClient, RouterClient
+from repro.cluster import router as router_module
 from repro.runtime.store import ShardedArtifactStore
 from tests.serving_utils import spawn_listen, terminate
 
@@ -134,11 +135,10 @@ def test_cluster_bench(benchmark, emit):
             # measure steady-state serving with a host down (pure
             # capacity loss), not the one-off dead-host discovery —
             # which the post-kill correctness batch absorbs.
+            saved_breaker = (router_module._BREAKER_THRESHOLD, router_module._BREAKER_RESET_S)
+            router_module._BREAKER_THRESHOLD, router_module._BREAKER_RESET_S = 1, 600.0
             replicated_router = RouterClient(
-                replicated.cluster_map,
-                connect_timeout=5.0,
-                breaker_threshold=1,
-                breaker_reset_s=600.0,
+                replicated.cluster_map, connect_timeout=5.0
             )
 
             def replicated_run():
@@ -169,6 +169,7 @@ def test_cluster_bench(benchmark, emit):
             finally:
                 replicated_router.close()
                 replicated.close()
+                router_module._BREAKER_THRESHOLD, router_module._BREAKER_RESET_S = saved_breaker
         finally:
             terminate(procs)
 

@@ -217,10 +217,9 @@ class RemoteWrapperClient:
         self,
         host: str,
         port: Optional[int] = None,
-        timeout: float = 60.0,
         *,
-        connect_timeout: Optional[float] = None,
-        read_timeout: Optional[float] = None,
+        connect_timeout: float = 60.0,
+        read_timeout: float = 60.0,
         tenant: str = DEFAULT_TENANT,
         api_key: str = "",
     ):
@@ -231,11 +230,10 @@ class RemoteWrapperClient:
             port = int(port_text)
         self.host = host
         self.port = int(port)
-        # Legacy single ``timeout`` still seeds both phases; the split
-        # lets a router detect a dead host fast (connect) without
-        # capping slow-but-alive work (read).
-        self.connect_timeout = timeout if connect_timeout is None else connect_timeout
-        self.read_timeout = timeout if read_timeout is None else read_timeout
+        # The split lets a router detect a dead host fast (connect)
+        # without capping slow-but-alive work (read).
+        self.connect_timeout = connect_timeout
+        self.read_timeout = read_timeout
         try:
             self.tenant = validate_tenant(tenant)
         except ValueError as exc:

@@ -22,12 +22,17 @@ placement function the hosts enforce:
   ``/extract_many`` requests, re-queuing a failed item against its next
   replica between rounds.
 
+Every keyed verb and :meth:`extract_many` drive the same replica walk
+(:meth:`RouterClient._route`), so failover, error surfacing, the breaker
+and the epoch refresh behave alike on all of them.
+
 Failure containment mirrors the placement function: a host with no live
 replica fails *its* keys (as :class:`~repro.api.remote.RemoteError`
 carrying the first failing host's address) and no others.  A per-host
-circuit breaker opens after ``breaker_threshold`` consecutive transport
-failures and skips the host for ``breaker_reset_s`` seconds, so a dead
-host costs one connect timeout — not one per request.
+circuit breaker opens after ``_BREAKER_THRESHOLD`` rounds in a row in
+which the host answered nothing and skips the host for
+``_BREAKER_RESET_S`` seconds, so a dead host costs one connect timeout
+— not one per request.
 
 Topology changes are detected without a coordination service: every
 421 rejection and every ``/healthz`` answer carries the server's
@@ -55,7 +60,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from repro.cluster.placement import (
     ClusterMap,
     DEFAULT_TENANT,
-    REPLICATION_FACTOR,
     qualify_key,
     shard_of_task,
     validate_tenant,
@@ -81,6 +85,54 @@ _UNSET = object()
 _FAILOVER_BACKOFF_S = 0.05
 _BACKOFF_CAP_S = 1.0
 
+# Circuit breaker: a host that answered nothing in this many rounds in
+# a row is skipped for the reset period.
+_BREAKER_THRESHOLD = 3
+_BREAKER_RESET_S = 5.0
+
+
+class _Walk:
+    """One key's walk over its replicas, primary first.
+
+    ``answer`` stays ``_UNSET`` until the walk is over.  On the way the
+    walk keeps what the replicas that gave no verdict said, for
+    :meth:`error`, and ``missed`` lists the hosts a write did not land
+    on.  ``written`` is a write's first success.
+    """
+
+    def __init__(
+        self, site_key: str, qualified: str, hosts: list[str], answer=_UNSET
+    ) -> None:
+        self.site_key = site_key
+        self.qualified = qualified
+        self.hosts = hosts
+        self.pos = 0
+        self.answer = answer
+        self.written: object = _UNSET
+        self.throttled: Optional[RateLimitError] = None
+        self.dead: Optional[RemoteError] = None
+        self.misrouted: Optional[OwnershipError] = None
+        self.absent: Optional[KeyError] = None
+        self.missed: list[tuple[str, Exception]] = []
+
+    def error(self) -> Exception:
+        """What a walk no replica decided surfaces, the same for every verb.
+
+        A throttle first: every live owner throttled the tenant, and the
+        caller gets the Retry-After hint to honor.  Then the first
+        transport failure, naming the host that actually died.  An
+        ownership rejection surfaces only when every replica answered
+        and none owned the key (a real routing bug), and last the
+        KeyError every replica of a write agreed on.
+        """
+        return (
+            self.throttled
+            or self.dead
+            or self.misrouted
+            or self.absent
+            or RemoteError(f"no live replica reachable for {self.site_key!r}")
+        )
+
 
 class RouterClient:
     """The facade, routed across a cluster of shard-owning hosts.
@@ -91,10 +143,8 @@ class RouterClient:
     timeout split is forwarded to every per-host client so a dead host
     is detected on the connect phase without capping live work.
 
-    ``replication`` is how many replicas each shard has (primary +
-    ring-order successors; default :data:`REPLICATION_FACTOR`).  With
-    ``replication=1`` failover is off and the router behaves exactly
-    like the pre-replication strict router.  ``telemetry_sink``, when
+    Each shard has :data:`~repro.cluster.placement.REPLICATION_FACTOR`
+    replicas (primary + ring-order successor).  ``telemetry_sink``, when
     given, receives every telemetry event dict as it is emitted (the
     last 512 events are always kept on :attr:`telemetry`).
     """
@@ -105,13 +155,9 @@ class RouterClient:
         *,
         n_shards: Optional[int] = None,
         tenant: str = DEFAULT_TENANT,
-        timeout: float = 60.0,
-        connect_timeout: Optional[float] = None,
-        read_timeout: Optional[float] = None,
-        replication: int = REPLICATION_FACTOR,
+        connect_timeout: float = 60.0,
+        read_timeout: float = 60.0,
         api_key: str = "",
-        breaker_threshold: int = 3,
-        breaker_reset_s: float = 5.0,
         telemetry_sink: Optional[Callable[[dict], None]] = None,
     ) -> None:
         if not isinstance(cluster, ClusterMap):
@@ -126,22 +172,11 @@ class RouterClient:
             self.tenant = validate_tenant(tenant)
         except ValueError as exc:
             raise FacadeError(str(exc)) from exc
-        if replication < 1:
-            raise FacadeError("replication must be >= 1")
-        if breaker_threshold < 1:
-            raise FacadeError("breaker_threshold must be >= 1")
-        self.replication = int(replication)
         # One credential for the whole cluster: forwarded to every
         # per-host client (hosts share one key table, so one key grants
         # the same tenant everywhere).
         self.api_key = str(api_key)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_reset_s = float(breaker_reset_s)
-        self._timeouts = {
-            "timeout": timeout,
-            "connect_timeout": connect_timeout,
-            "read_timeout": read_timeout,
-        }
+        self._timeouts = dict(connect_timeout=connect_timeout, read_timeout=read_timeout)
         self._clients: dict[str, RemoteWrapperClient] = {}
         # Per-host breaker state: [consecutive failures, open-until].
         self._breaker: dict[str, list[float]] = {}
@@ -171,16 +206,16 @@ class RouterClient:
         state = self._breaker.get(host)
         return (
             state is not None
-            and state[0] >= self.breaker_threshold
+            and state[0] >= _BREAKER_THRESHOLD
             and time.monotonic() < state[1]
         )
 
     def _record_failure(self, host: str) -> None:
         state = self._breaker.setdefault(host, [0, 0.0])
         state[0] += 1
-        if state[0] >= self.breaker_threshold:
+        if state[0] >= _BREAKER_THRESHOLD:
             was_open = time.monotonic() < state[1]
-            state[1] = time.monotonic() + self.breaker_reset_s
+            state[1] = time.monotonic() + _BREAKER_RESET_S
             if not was_open:
                 self._emit(
                     "breaker_open", host=host, failures=int(state[0])
@@ -193,16 +228,11 @@ class RouterClient:
         name, _, port = host.rpartition(":")
         return RemoteError(
             f"{host} skipped: circuit breaker open after "
-            f"{self.breaker_threshold} consecutive failures",
+            f"{_BREAKER_THRESHOLD} consecutive failures",
             host=name or host,
             port=int(port) if port.isdigit() else 0,
             attempts=0,
         )
-
-    def _backoff_sleep(self, attempt: int) -> None:
-        # Full-jitter exponential backoff before a failover retry.
-        delay = min(_FAILOVER_BACKOFF_S * (2 ** max(attempt - 1, 0)), _BACKOFF_CAP_S)
-        time.sleep(delay * random.uniform(0.5, 1.0))
 
     # -- routing ------------------------------------------------------------
 
@@ -239,8 +269,7 @@ class RouterClient:
             owners = [h for h in ring if shard in self._owned.get(h, ())]
             if owners:
                 return owners
-        shard = self.cluster.shard_of(qualified)
-        return list(self.cluster.replica_hosts_of_shard(shard, self.replication))
+        return list(self.cluster.replica_hosts(qualified))
 
     def client_for_host(self, host: str) -> RemoteWrapperClient:
         """The router's keep-alive client for one cluster host."""
@@ -318,89 +347,181 @@ class RouterClient:
         )
         return best
 
+    # -- the replica walk: every keyed verb and extract_many ------------------
+
+    def _walk(self, site_key: str) -> _Walk:
+        try:
+            qualified = self._qualify(site_key)
+        except FacadeError as exc:
+            # An unroutable (cross-tenant, malformed) key is its own
+            # walk's answer: it fails that key only.
+            return _Walk(site_key, "", [], exc)
+        return _Walk(site_key, qualified, self._candidates(qualified))
+
+    def _next_host(self, walk: _Walk, write: Optional[str]) -> Optional[str]:
+        """The walk's next replica whose breaker is closed, or ``None``
+        once the walk has run out of replicas and ended."""
+        while walk.pos < len(walk.hosts):
+            host = walk.hosts[walk.pos]
+            if not self._breaker_open(host):
+                return host
+            # A skipped host counts as that host's transport failure.
+            exc = self._breaker_error(host)
+            walk.dead = walk.dead or exc
+            walk.missed.append((host, exc))
+            walk.pos += 1
+        if walk.written is _UNSET:
+            walk.answer = walk.error()
+            return None
+        walk.answer = walk.written
+        for host, exc in walk.missed:
+            self._emit(
+                "write_repair_needed", verb=write, host=host, site_key=walk.site_key, error=str(exc)
+            )
+        return None
+
+    def _route(
+        self,
+        site_keys: Sequence[str],
+        send: Callable[[RemoteWrapperClient, list[int]], list],
+        *,
+        write: Optional[str] = None,
+    ) -> list:
+        """Walk every key's replicas in rounds; one answer per key.
+
+        Each round groups the unfinished walks by their next replica
+        whose breaker is closed and calls ``send(client, indexes)`` once
+        per host (one thread per host when there are several) for one
+        value or exception per key index.  A read ends at its first
+        verdict.  A write (``write`` names its verb) visits every
+        replica with no wait between them and answers with the first
+        success.  A 421 from a newer epoch refreshes the map once per
+        call and restarts the unfinished walks — a write only while
+        nothing has been written.
+        """
+        walks = [self._walk(site_key) for site_key in site_keys]
+
+        def run(host: str, indexes: list[int]) -> list:
+            try:
+                return send(self.client_for_host(host), indexes)
+            except Exception as exc:  # noqa: BLE001 - the host's answer to every key
+                return [exc] * len(indexes)
+
+        refreshed = False
+        round_no = 0
+        while True:
+            by_host: dict[str, list[int]] = {}
+            for index, walk in enumerate(walks):
+                if walk.answer is _UNSET:
+                    host = self._next_host(walk, write)
+                    if host is not None:
+                        by_host.setdefault(host, []).append(index)
+            if not by_host:
+                return [walk.answer for walk in walks]
+            if round_no and write is None:
+                # Full-jitter exponential backoff before a failover round.
+                delay = min(_FAILOVER_BACKOFF_S * 2 ** (round_no - 1), _BACKOFF_CAP_S)
+                time.sleep(delay * random.uniform(0.5, 1.0))
+            round_no += 1
+            if len(by_host) == 1:
+                parts = [run(*next(iter(by_host.items())))]
+            else:
+                with ThreadPoolExecutor(max_workers=len(by_host)) as pool:
+                    parts = list(pool.map(run, by_host, by_host.values()))
+            stale = False
+            for (host, indexes), answers in zip(by_host.items(), parts):
+                stale |= self._take_answers(
+                    host, [walks[i] for i in indexes], answers, write
+                )
+            if stale and not refreshed:
+                refreshed = True
+                self.refresh_map()
+                for walk in walks:
+                    if walk.answer is _UNSET and walk.written is _UNSET:
+                        walk.hosts = self._candidates(walk.qualified)
+                        walk.pos = 0
+
+    def _take_answers(
+        self, host: str, walks: list[_Walk], answers: list, write: Optional[str]
+    ) -> bool:
+        """Fold one host's answers of one round into their walks.
+
+        Returns whether a 421 proved the router's map stale for a walk
+        that may still restart.
+        """
+        failed: list[tuple[_Walk, RemoteError]] = []
+        throttled: list[tuple[_Walk, RateLimitError]] = []
+        stale = False
+        for walk, answer in zip(walks, answers, strict=True):
+            if isinstance(answer, RemoteError):
+                walk.dead = walk.dead or answer
+                walk.missed.append((host, answer))
+                failed.append((walk, answer))
+            elif isinstance(answer, RateLimitError):
+                # A live host throttling this tenant: another replica
+                # may still have budget, and a write did not land here.
+                walk.throttled = answer
+                walk.missed.append((host, answer))
+                throttled.append((walk, answer))
+            elif isinstance(answer, OwnershipError):
+                # The host is alive, just not the owner.  A newer epoch
+                # means a stale map, not a misroute.
+                walk.misrouted = walk.misrouted or answer
+                stale |= answer.epoch > self._epoch and walk.written is _UNSET
+            elif write is not None and isinstance(answer, KeyError):
+                # A write (a delete) of a key this replica never had:
+                # agreement, not divergence — a shared store deletes the
+                # artifact once and the next replica finds it gone.
+                walk.absent = walk.absent or answer
+            elif write is None or isinstance(answer, BaseException):
+                # A verdict the host decided: a read's value, KeyError
+                # or other FacadeError, or a write the replica refused.
+                walk.answer = answer
+                continue
+            elif walk.written is _UNSET:
+                walk.written = answer
+            walk.pos += 1
+        # A 429 or a 421 proves the host is up; any answer clears its
+        # breaker count, a round of transport failures is one strike.
+        if len(failed) == len(walks):
+            self._record_failure(host)
+        else:
+            self._record_success(host)
+        if failed and write is None:
+            walk, exc = failed[0]
+            self._emit(
+                "failover", host=host, site_key=walk.site_key, error=str(exc), items=len(failed)
+            )
+        if throttled:
+            walk, exc = throttled[0]
+            self._emit(
+                "rate_limited",
+                host=host,
+                site_key=walk.site_key,
+                retry_after_s=max(e.retry_after_s for _, e in throttled),
+                items=len(throttled),
+            )
+        return stale
+
+    def _one(self, site_key: str, call, write: Optional[str] = None):
+        """Route one key; ``call(client)`` runs the verb on a replica."""
+        (answer,) = self._route(
+            [site_key], lambda client, _: [call(client)], write=write
+        )
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
     # -- keyed reads: primary, then failover to the replica ------------------
 
-    def _with_failover(self, site_key: str, fn):
-        qualified = self._qualify(site_key)
-        candidates = self._candidates(qualified)
-        first_remote: Optional[RemoteError] = None
-        last_ownership: Optional[OwnershipError] = None
-        last_ratelimit: Optional[RateLimitError] = None
-        refreshed = False
-        tried = 0
-        i = 0
-        while i < len(candidates):
-            host = candidates[i]
-            if self._breaker_open(host):
-                if first_remote is None:
-                    first_remote = self._breaker_error(host)
-                i += 1
-                continue
-            if tried:
-                self._backoff_sleep(tried)
-            tried += 1
-            try:
-                result = fn(self.client_for_host(host))
-            except RemoteError as exc:
-                self._record_failure(host)
-                self._emit(
-                    "failover", host=host, site_key=site_key, error=str(exc)
-                )
-                if first_remote is None:
-                    first_remote = exc
-                i += 1
-                continue
-            except RateLimitError as exc:
-                # A 429 is a live, answering host — never a breaker
-                # strike.  Another replica may still have budget for
-                # this tenant, so the walk continues; the telemetry
-                # event is what surfaces per-host throttling upstream.
-                self._record_success(host)
-                self._emit(
-                    "rate_limited",
-                    host=host,
-                    site_key=site_key,
-                    retry_after_s=exc.retry_after_s,
-                )
-                last_ratelimit = exc
-                i += 1
-                continue
-            except OwnershipError as exc:
-                self._record_success(host)  # the host is alive, just not the owner
-                if exc.epoch > self._epoch and not refreshed:
-                    # Stale map, not a misroute: learn the new topology
-                    # once, then walk the fresh candidate list.
-                    refreshed = True
-                    self.refresh_map()
-                    candidates = self._candidates(qualified)
-                    i = 0
-                    continue
-                if last_ownership is None:
-                    last_ownership = exc
-                i += 1
-                continue
-            self._record_success(host)
-            return result
-        # Surfacing order: a transport failure names the host that
-        # actually died; an OwnershipError only surfaces when every
-        # replica answered and none owned the key (a real routing bug);
-        # a RateLimitError means every live owner throttled the tenant
-        # — the caller gets the Retry-After hint to honor.
-        error: Optional[FacadeError] = (
-            last_ratelimit or first_remote or last_ownership
-        )
-        if error is None:
-            error = RemoteError(f"no live replica reachable for {site_key!r}")
-        raise error
-
     def extract(self, site_key: str, page: Page) -> ExtractionResult:
-        return self._with_failover(site_key, lambda c: c.extract(site_key, page))
+        return self._one(site_key, lambda c: c.extract(site_key, page))
 
     def check(self, site_key: str, page: Page) -> CheckResult:
-        return self._with_failover(site_key, lambda c: c.check(site_key, page))
+        return self._one(site_key, lambda c: c.check(site_key, page))
 
     def get(self, site_key: str) -> WrapperHandle:
-        return self._with_failover(site_key, lambda c: c.get(site_key))
+        return self._one(site_key, lambda c: c.get(site_key))
 
     def __contains__(self, site_key: str) -> bool:
         try:
@@ -415,107 +536,11 @@ class RouterClient:
 
     # -- writes: every replica, quorum 1 ------------------------------------
 
-    def _replicated_write(self, verb: str, site_key: str, fn):
-        """Run a mutating verb against every replica of ``site_key``.
-
-        Succeeds (returning the first replica's answer) as soon as ANY
-        replica accepted the write; replicas that missed it are logged
-        as ``write_repair_needed`` so an operator — or the next write —
-        can converge them.  Raises only when no replica accepted: the
-        first transport error (naming its host), else the ownership
-        rejection, else the KeyError every replica agreed on.
-        """
-        qualified = self._qualify(site_key)
-        candidates = self._candidates(qualified)
-        result = _UNSET
-        first_remote: Optional[RemoteError] = None
-        last_ownership: Optional[OwnershipError] = None
-        last_ratelimit: Optional[RateLimitError] = None
-        missing: Optional[KeyError] = None
-        repair_needed: list[tuple[str, Exception]] = []
-        refreshed = False
-        i = 0
-        while i < len(candidates):
-            host = candidates[i]
-            if self._breaker_open(host):
-                exc = self._breaker_error(host)
-                repair_needed.append((host, exc))
-                if first_remote is None:
-                    first_remote = exc
-                i += 1
-                continue
-            try:
-                value = fn(self.client_for_host(host))
-            except RemoteError as exc:
-                self._record_failure(host)
-                repair_needed.append((host, exc))
-                if first_remote is None:
-                    first_remote = exc
-                i += 1
-                continue
-            except RateLimitError as exc:
-                # The replica is alive but throttled this tenant: the
-                # write did not land there, which is exactly the
-                # write_repair_needed situation — another replica may
-                # still accept it.
-                self._record_success(host)
-                self._emit(
-                    "rate_limited",
-                    host=host,
-                    site_key=site_key,
-                    retry_after_s=exc.retry_after_s,
-                )
-                repair_needed.append((host, exc))
-                last_ratelimit = exc
-                i += 1
-                continue
-            except OwnershipError as exc:
-                self._record_success(host)
-                if exc.epoch > self._epoch and not refreshed and result is _UNSET:
-                    # Stale map and nothing written yet: safe to learn
-                    # the new topology and restart the replica walk.
-                    refreshed = True
-                    self.refresh_map()
-                    candidates = self._candidates(qualified)
-                    i = 0
-                    continue
-                if last_ownership is None:
-                    last_ownership = exc
-                i += 1
-                continue
-            except KeyError as exc:
-                # delete of a key this replica never had — agreement,
-                # not divergence (the shared-store topology deletes the
-                # artifact once and the second replica finds it gone).
-                self._record_success(host)
-                if missing is None:
-                    missing = exc
-                i += 1
-                continue
-            self._record_success(host)
-            if result is _UNSET:
-                result = value
-            i += 1
-        if result is not _UNSET:
-            for host, exc in repair_needed:
-                self._emit(
-                    "write_repair_needed",
-                    verb=verb,
-                    host=host,
-                    site_key=site_key,
-                    error=str(exc),
-                )
-            return result
-        error: Optional[Exception] = (
-            last_ratelimit or first_remote or last_ownership or missing
-        )
-        if error is None:
-            error = RemoteError(f"no live replica accepted {verb} of {site_key!r}")
-        raise error
-
     def induce(self, site_key: str, samples, mode: str = "node", **options):
-        return self._replicated_write(
-            "induce", site_key, lambda c: c.induce(site_key, samples, mode, **options)
+        return self._one(
+            site_key,
+            lambda c: c.induce(site_key, samples, mode, **options),
+            write="induce",
         )
 
     def repair(
@@ -524,21 +549,20 @@ class RouterClient:
         page: Page,
         target_paths: Optional[Sequence[str]] = None,
     ) -> WrapperHandle:
-        return self._replicated_write(
-            "repair", site_key, lambda c: c.repair(site_key, page, target_paths)
+        return self._one(
+            site_key,
+            lambda c: c.repair(site_key, page, target_paths),
+            write="repair",
         )
 
     def deploy(self, artifact) -> WrapperHandle:
         """Deploy a prebuilt artifact to every replica of its shard."""
-        return self._replicated_write(
-            "deploy", artifact.task_id, lambda c: c.deploy(artifact)
+        return self._one(
+            artifact.task_id, lambda c: c.deploy(artifact), write="deploy"
         )
 
     def delete(self, site_key: str) -> None:
-        result = self._replicated_write(
-            "delete", site_key, lambda c: c.delete(site_key)
-        )
-        return result if result is not _UNSET else None
+        self._one(site_key, lambda c: c.delete(site_key), write="delete")
 
     # -- scatter-gather -----------------------------------------------------
 
@@ -644,17 +668,9 @@ class RouterClient:
         }
 
     def __len__(self) -> int:
-        if self.tenant or self.replication > 1:
-            # Namespace filtering and replica de-duplication both happen
-            # client-side; count the merged keys.
-            return len(self.keys())
-        # Disjoint groups: summing /healthz counters avoids shipping
-        # every handle payload just to count them.
-        parts = self._gather_parts(lambda c: c.healthz())
-        self._tolerate_failures(parts)
-        return sum(
-            int(part.get("wrappers", 0)) for ok, part in parts.values() if ok
-        )
+        # Namespace filtering and replica de-duplication both happen
+        # client-side; count the merged keys.
+        return len(self.keys())
 
     # -- batch extraction ---------------------------------------------------
 
@@ -672,137 +688,17 @@ class RouterClient:
         next replica in the following round (with jittered backoff), so
         a host dying under a batch costs a retry — not the batch.
         Results come back in item order.  An item no replica answered
-        yields the error :meth:`extract` raises for its key: a
-        throttling replica's :class:`RateLimitError`, else the first
-        transport error (naming the host that died), else the ownership
-        rejection; an unroutable (cross-tenant, malformed) key fails
-        per item.
+        yields the error :meth:`extract` raises for its key, and an
+        unroutable (cross-tenant, malformed) key fails per item.
         With ``return_errors`` errors are returned in place, otherwise
         the first one raises after the batch drains.
         """
-        results: list = [None] * len(items)
-        qualified: dict[int, str] = {}
-        pending: list[int] = []
-        for index, (site_key, _) in enumerate(items):
-            try:
-                qualified[index] = self._qualify(site_key)
-            except FacadeError as exc:
-                # An unroutable key fails its own item only — exactly
-                # like a failed request would.
-                results[index] = exc
-                continue
-            pending.append(index)
-        cands: dict[int, list[str]] = {}
-        pos: dict[int, int] = {index: 0 for index in pending}
-        # Per item, what _with_failover would surface, in its order.
-        last_ratelimit: dict[int, RateLimitError] = {}
-        first_remote: dict[int, RemoteError] = {}
-        first_ownership: dict[int, OwnershipError] = {}
-        refreshed = False
-        round_no = 0
-
-        def run_host(host: str, indexes: list[int]) -> list:
-            try:
-                return self.client_for_host(host).extract_many(
-                    [items[i] for i in indexes], return_errors=True
-                )
-            except Exception as exc:  # noqa: BLE001 - host-wide failure
-                return [exc] * len(indexes)
-
-        while pending:
-            if round_no:
-                self._backoff_sleep(round_no)
-            round_no += 1
-            by_host: dict[str, list[int]] = {}
-            for index in pending:
-                lst = cands.get(index)
-                if lst is None:
-                    lst = cands[index] = self._candidates(qualified[index])
-                host = None
-                while pos[index] < len(lst):
-                    candidate = lst[pos[index]]
-                    if self._breaker_open(candidate):
-                        first_remote.setdefault(
-                            index, self._breaker_error(candidate)
-                        )
-                        pos[index] += 1
-                        continue
-                    host = candidate
-                    break
-                if host is None:
-                    results[index] = (
-                        last_ratelimit.get(index)
-                        or first_remote.get(index)
-                        or first_ownership.get(index)
-                        or RemoteError(
-                            f"no live replica reachable for {items[index][0]!r}"
-                        )
-                    )
-                    continue
-                by_host.setdefault(host, []).append(index)
-            next_pending: list[int] = []
-            if by_host:
-                if len(by_host) == 1:
-                    host, indexes = next(iter(by_host.items()))
-                    parts = [run_host(host, indexes)]
-                else:
-                    with ThreadPoolExecutor(max_workers=len(by_host)) as pool:
-                        parts = list(
-                            pool.map(lambda kv: run_host(*kv), by_host.items())
-                        )
-                refresh_now = False
-                for (host, indexes), part in zip(by_host.items(), parts):
-                    answered = 0
-                    transport_failures = 0
-                    for index, result in zip(indexes, part):
-                        if isinstance(result, RemoteError):
-                            transport_failures += 1
-                            first_remote.setdefault(index, result)
-                            self._emit(
-                                "failover",
-                                host=host,
-                                site_key=items[index][0],
-                                error=str(result),
-                            )
-                            pos[index] += 1
-                            next_pending.append(index)
-                        elif isinstance(result, RateLimitError):
-                            # The host's client already resent the item
-                            # after its Retry-After hints and it is still
-                            # throttled; requeue against the next replica.
-                            answered += 1
-                            self._emit(
-                                "rate_limited",
-                                host=host,
-                                site_key=items[index][0],
-                                retry_after_s=result.retry_after_s,
-                            )
-                            last_ratelimit[index] = result
-                            pos[index] += 1
-                            next_pending.append(index)
-                        elif isinstance(result, OwnershipError):
-                            answered += 1
-                            if result.epoch > self._epoch and not refreshed:
-                                refresh_now = True
-                            first_ownership.setdefault(index, result)
-                            pos[index] += 1
-                            next_pending.append(index)
-                        else:
-                            # A real answer — including KeyError and
-                            # other FacadeErrors the host *decided*.
-                            answered += 1
-                            results[index] = result
-                    if answered:
-                        self._record_success(host)
-                    elif transport_failures:
-                        self._record_failure(host)
-                if refresh_now:
-                    refreshed = True
-                    self.refresh_map()
-                    cands.clear()
-                    for index in next_pending:
-                        pos[index] = 0
-            pending = next_pending
+        results = self._route(
+            [site_key for site_key, _ in items],
+            lambda client, indexes: client.extract_many(
+                [items[i] for i in indexes], return_errors=True
+            ),
+        )
         if not return_errors:
             for result in results:
                 if isinstance(result, BaseException):

@@ -61,6 +61,7 @@ class FaultCluster:
         if host not in self._dead:
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait()
+            proc.stdout.close()
             self._dead.add(host)
         return host
 

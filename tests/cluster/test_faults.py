@@ -31,6 +31,7 @@ from repro import (
     mark_volatile,
     parse_html,
 )
+from repro.cluster import router as router_module
 from repro.cluster.placement import replica_indexes, shard_index
 from repro.runtime.store import ShardedArtifactStore, migrate_store
 
@@ -138,11 +139,11 @@ class TestBothReplicasDead:
 
 
 class TestCircuitBreaker:
-    def test_breaker_opens_and_skips_the_dead_host(self, seeded_cluster):
+    def test_breaker_opens_and_skips_the_dead_host(self, seeded_cluster, monkeypatch):
+        monkeypatch.setattr(router_module, "_BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(router_module, "_BREAKER_RESET_S", 60.0)
         cluster, _ = seeded_cluster
-        with make_router(
-            cluster, breaker_threshold=2, breaker_reset_s=60.0
-        ) as router:
+        with make_router(cluster) as router:
             victim = cluster.kill(router.host_of(EVEN_KEY))
             for _ in range(3):
                 assert router.extract(EVEN_KEY, PRICE_V1).values == ("10",)

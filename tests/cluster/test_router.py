@@ -29,7 +29,7 @@ from repro import (
 from repro.cluster.placement import shard_of_task
 
 from tests.api.pages import PRICE_V1
-from tests.cluster.conftest import dead_address, spawn_listen
+from tests.cluster.conftest import dead_address, spawn_listen, terminate
 
 # Placement facts the tests below rely on (pinned by the golden
 # fixture): "shop-1" → shard 6 (even → host 0 of a 2-host map),
@@ -163,6 +163,9 @@ class _ErrorHost:
     def extract(self, site_key, page):
         raise self.error
 
+    def delete(self, site_key):
+        raise self.error
+
     def extract_many(self, items, *, return_errors=False):
         return [self.error] * len(items)
 
@@ -206,8 +209,65 @@ class TestReplicaErrorPrecedence:
             with pytest.raises(FacadeError) as info:
                 router.extract(EVEN_KEY, PRICE_V1)
             (batched,) = router.extract_many([(EVEN_KEY, PRICE_V1)], return_errors=True)
+            with pytest.raises(FacadeError) as written:
+                router.delete(EVEN_KEY)
         assert type(info.value) is expected
         assert type(batched) is expected
+        assert type(written.value) is expected
+
+
+class _EchoHost:
+    """A stand-in live host: answers each batch item with its site key
+    and reports itself healthy at epoch 1."""
+
+    def extract_many(self, items, *, return_errors=False):
+        return [site_key for site_key, _ in items]
+
+    def healthz(self):
+        return {"ok": True, "epoch": 1}
+
+    def close(self):
+        pass
+
+
+class _StaleMapHost(_EchoHost):
+    """A live host serving epoch 1 that owns none of the batch's keys."""
+
+    def extract_many(self, items, *, return_errors=False):
+        return [
+            OwnershipError("not the owner at epoch 1", site_key=key, epoch=1)
+            for key, _ in items
+        ]
+
+
+class TestReplicaWalk:
+    """Every router verb walks replicas the same way; a batch is one
+    walk per item, folded per host per round."""
+
+    def test_a_dead_primary_is_one_failover_event_per_round(self):
+        with RouterClient(ClusterMap(("127.0.0.1:1", "127.0.0.1:2"), 8)) as router:
+            first, second = router.replica_hosts(EVEN_KEY)
+            router._clients[first] = _ErrorHost(_dead(first))
+            router._clients[second] = _EchoHost()
+            results = router.extract_many([(EVEN_KEY, PRICE_V1)] * 2000)
+            assert results == [EVEN_KEY] * 2000
+            failovers = [e for e in router.telemetry if e["event"] == "failover"]
+            assert len(failovers) == 1
+            assert failovers[0]["host"] == first
+            assert failovers[0]["items"] == 2000
+            assert failovers[0]["site_key"] == EVEN_KEY
+            assert router._breaker[first][0] == 1
+
+    def test_a_stale_map_is_refreshed_once_per_batch(self):
+        with RouterClient(ClusterMap(("127.0.0.1:1", "127.0.0.1:2"), 8)) as router:
+            first, second = router.replica_hosts(EVEN_KEY)
+            router._clients[first] = _StaleMapHost()
+            router._clients[second] = _EchoHost()
+            results = router.extract_many([(EVEN_KEY, PRICE_V1)] * 50)
+            assert results == [EVEN_KEY] * 50
+            refreshes = [e for e in router.telemetry if e["event"] == "map_refresh"]
+            assert len(refreshes) == 1
+            assert router.epoch == 1
 
 
 class TestSharedStoreCluster:
@@ -238,10 +298,7 @@ class TestSharedStoreCluster:
                 assert len(router) == 2  # union, not once-per-host
                 assert router.extract(EVEN_KEY, PRICE_V1).values == ("10",)
         finally:
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                proc.wait(timeout=10)
+            terminate(procs)
 
 
 class TestRemoteTimeoutsAndErrors:
@@ -255,8 +312,13 @@ class TestRemoteTimeoutsAndErrors:
         assert f"{host}:{port}" in str(excinfo.value)
 
     def test_timeout_split_defaults_from_legacy_timeout(self):
-        client = RemoteWrapperClient("example.test", 80, timeout=7.5)
-        assert client.connect_timeout == 7.5 and client.read_timeout == 7.5
+        # The legacy single ``timeout`` is gone from both clients.
+        with pytest.raises(TypeError):
+            RemoteWrapperClient("example.test", 80, timeout=7.5)
+        with pytest.raises(TypeError):
+            RouterClient(("example.test:80",), timeout=7.5)
+        client = RemoteWrapperClient("example.test", 80)
+        assert client.connect_timeout == 60.0 and client.read_timeout == 60.0
         split = RemoteWrapperClient(
             "example.test", 80, connect_timeout=1.0, read_timeout=30.0
         )
@@ -366,14 +428,12 @@ class TestTenantIsolation:
         assert local.extract_many([(EVEN_KEY, PRICE_V1)])[0].values == ("10",)
         with RouterClient(ClusterMap(cluster_hosts, 8)) as router:
             router.induce(EVEN_KEY, [price_sample()])
-            for client in (
-                RemoteWrapperClient(router.host_of(EVEN_KEY)),
-                router,
-            ):
-                results = client.extract_many(
-                    [(EVEN_KEY, PRICE_V1)], return_errors=True
-                )
-                assert results[0].values == ("10",)
+            with RemoteWrapperClient(router.host_of(EVEN_KEY)) as remote:
+                for client in (remote, router):
+                    results = client.extract_many(
+                        [(EVEN_KEY, PRICE_V1)], return_errors=True
+                    )
+                    assert results[0].values == ("10",)
 
     def test_invalid_tenant_fails_fast_everywhere(self):
         import subprocess
