@@ -335,9 +335,7 @@ class WrapperClient:
         """Serve one page: values + paths + the drift signals it showed."""
         artifact = self.artifact(site_key)
         doc = _as_doc(page)
-        records = extract_document(
-            doc, extraction_wrappers(artifact), plans=artifact.extraction_plans()
-        )
+        records = extract_document(doc, extraction_wrappers(artifact))
         rows: list[dict] = []
         if facade_mode(artifact) == "record":
             rows = record_rows(artifact, doc)
@@ -376,9 +374,7 @@ class WrapperClient:
         """Drift-check one page without materializing extraction values."""
         artifact = self.artifact(site_key)
         doc = _as_doc(page)
-        records = extract_document(
-            doc, extraction_wrappers(artifact), plans=artifact.extraction_plans()
-        )
+        records = extract_document(doc, extraction_wrappers(artifact))
         return check_from_records(artifact, records, self.drift)
 
     # -- repair -------------------------------------------------------------

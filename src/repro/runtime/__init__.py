@@ -17,10 +17,10 @@ This package provides that layer:
   the one rule :func:`drift_verdict` that the facade's results use
   too) and automatic re-induction from the stored samples plus the
   drifted page;
-* :mod:`repro.runtime.store` — a :class:`ShardedArtifactStore`
-  partitioning artifacts (and their drift-report JSONL streams) across
-  shard directories by stable site-key hash, with atomic writes and an
-  mtime-validated LRU;
+* :mod:`repro.runtime.store` — a :class:`ShardedArtifactStore`, the one
+  on-disk form of an artifact, partitioning artifacts (and their
+  drift-report JSONL streams) across shard directories by stable
+  site-key hash, with one crash-safe writer and an mtime-validated LRU;
 * :mod:`repro.runtime.serve` — an asyncio request/response front-end
   over the per-page extraction kernel with micro-batching, a
   content-hash parse cache, and bounded-queue backpressure;
@@ -84,8 +84,6 @@ from repro.runtime.store import (
     MigrationPlan,
     ShardedArtifactStore,
     StoreError,
-    artifacts_from_path,
-    migrate_directory,
     migrate_store,
     shard_index,
     site_key_of,
@@ -130,12 +128,10 @@ __all__ = [
     "WrapperArtifact",
     "WrapperHTTPServer",
     "WrapperSweep",
-    "artifacts_from_path",
     "drift_verdict",
     "extract_document",
     "induce_corpus_task",
     "jobs_for_artifacts",
-    "migrate_directory",
     "migrate_store",
     "reinduce",
     "replay_archive",

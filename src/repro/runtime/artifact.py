@@ -23,12 +23,15 @@ round-trip through :func:`repro.dom.serialize.to_html` /
 evaluating their canonical paths on the reparsed page, and volatile
 (data, non-template) text is re-marked by value so re-induction obeys
 the same no-data-predicates protocol as the original run.
+
+This module only turns artifacts into JSON and back
+(:meth:`WrapperArtifact.dumps` / :meth:`WrapperArtifact.loads`); the
+sharded store (:mod:`repro.runtime.store`) owns every artifact file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from typing import Optional, Sequence
 
@@ -41,7 +44,7 @@ from repro.induction.induce import InductionResult
 from repro.induction.samples import QuerySample
 from repro.xpath.ast import Query
 from repro.xpath.canonical import canonical_key, canonical_path
-from repro.xpath.compile import evaluate_compiled
+from repro.xpath.compile import compile_text, evaluate_compiled
 from repro.xpath.errors import XPathParseError
 from repro.xpath.parser import parse_query
 
@@ -139,10 +142,6 @@ def resolve_path(doc: Document, path: str) -> Node:
     return matches[0]
 
 
-#: Backwards-compatible private alias (pre-facade internal name).
-_resolve_path = resolve_path
-
-
 @dataclass(frozen=True)
 class StoredSample:
     """One annotated sample in serializable form.
@@ -195,9 +194,9 @@ class StoredSample:
                 text = doc.normalized_text(node)
                 if any(value in text for value in self.volatile_texts):
                     node.meta[self.volatile_key] = True
-        targets = [_resolve_path(doc, path) for path in self.target_paths]
+        targets = [resolve_path(doc, path) for path in self.target_paths]
         context = (
-            _resolve_path(doc, self.context_path)
+            resolve_path(doc, self.context_path)
             if self.context_path is not None
             else None
         )
@@ -363,27 +362,6 @@ class WrapperArtifact:
             object.__setattr__(self, "_ensemble_wrapper", wrapper)
             return wrapper
 
-    def extraction_plans(self) -> dict:
-        """Compiled query plans for every deployed wrapper text, memoized.
-
-        Maps the best query's text and each ensemble member's text to its
-        :class:`~repro.xpath.compile.CompiledQuery`.  Compiled eagerly at
-        load time (:meth:`from_payload`) so the serving inner loop pays a
-        dict lookup per call instead of a parse + global-cache probe;
-        plans are document independent, so one mapping serves every page.
-        """
-        try:
-            return self._extraction_plans
-        except AttributeError:
-            from repro.xpath.compile import compile_text
-
-            plans = {
-                text: compile_text(text)
-                for text in (self.best.text, *self.ensemble)
-            }
-            object.__setattr__(self, "_extraction_plans", plans)
-            return plans
-
     def restore_samples(self) -> list[QuerySample]:
         """Rebuild the annotated samples this wrapper was induced from."""
         return [sample.restore() for sample in self.samples]
@@ -444,12 +422,13 @@ class WrapperArtifact:
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(f"malformed artifact payload: {exc}") from exc
         # Every query must parse — catch corruption at load time — and
-        # the deployed wrappers compile to plans here, so serving never
-        # pays parse/compile cost inside a request.
+        # the deployed wrappers compile into the global plan memo here,
+        # so serving never pays parse/compile cost inside a request.
         for ranked in artifact.queries:
             ranked.parse()
         artifact.ensemble_wrapper()
-        artifact.extraction_plans()
+        for text in (artifact.best.text, *artifact.ensemble):
+            compile_text(text)
         return artifact
 
     def dumps(self, indent: int | None = 2) -> str:
@@ -462,16 +441,3 @@ class WrapperArtifact:
         except json.JSONDecodeError as exc:
             raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
         return cls.from_payload(payload)
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps() + "\n")
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "WrapperArtifact":
-        with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())
-
-    def filename(self) -> str:
-        """A filesystem-safe name for this artifact (task id based)."""
-        return self.task_id.replace("/", "__") + ".json"

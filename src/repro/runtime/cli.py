@@ -1,17 +1,20 @@
 """``python -m repro.runtime`` — the wrapper lifecycle CLI.
 
-Five subcommands drive the save → serve → drift → repair loop over the
-synthetic archive corpus:
+Six subcommands drive the save → serve → drift → repair loop over the
+synthetic archive corpus.  Every path they take is the root of a
+sharded artifact store (:mod:`repro.runtime.store`); :func:`_open_store`
+says when one is created:
 
-* ``induce`` — induce wrappers for corpus tasks at snapshot 0 and save
-  them as JSON artifacts (flat directory via ``--out``, or a sharded
-  artifact store via ``--store``);
-* ``extract`` — load artifacts, render a later snapshot of every
-  covered site, and run the per-page extraction kernel in process over
-  all (wrapper, page) pairs;
+* ``induce`` — induce wrappers for corpus tasks at snapshot 0 and put
+  them into the store at ``--store``;
+* ``extract`` — load a store's artifacts, render a later snapshot of
+  every covered site, and run the per-page extraction kernel in process
+  over all (wrapper, page) pairs;
 * ``check`` — replay each wrapper across archive snapshots on the
   sweep's loop, report the first drift (signals + snapshot), and
-  optionally auto-repair by re-induction from the stored samples;
+  optionally auto-repair by re-induction from the stored samples
+  (``--repair``, with ``--out`` naming a store for the repaired
+  generations);
 * ``serve`` — serve the :mod:`repro.api` facade over HTTP
   (``--listen HOST:PORT``), with extraction traffic going through the
   async serving layer (micro-batching + parse cache + backpressure);
@@ -52,13 +55,7 @@ from repro.runtime.drift import DriftConfig, reinduce
 from repro.runtime.extractor import extract_records, jobs_for_artifacts
 from repro.runtime.fleet import SweepConfig, sweep_store, sweep_wrapper
 from repro.runtime.serve import ServingConfig
-from repro.runtime.store import (
-    DEFAULT_SHARDS,
-    ShardedArtifactStore,
-    StoreError,
-    artifacts_from_path,
-    migrate_store,
-)
+from repro.runtime.store import DEFAULT_SHARDS, ShardedArtifactStore, StoreError, migrate_store
 from repro.sites.corpus import CorpusTask, multi_node_tasks, single_node_tasks
 
 #: Exit codes shared by ``check`` and ``sweep`` (2 is argparse's, used
@@ -105,14 +102,43 @@ def _corpus_tasks(include_multi: bool) -> list[CorpusTask]:
     return tasks
 
 
-def _load_artifacts(directory: pathlib.Path) -> list[WrapperArtifact]:
-    """Artifacts from a flat directory or a sharded store root."""
+def _open_store(
+    path: str, *, create: bool = False, n_shards: Optional[int] = None
+) -> ShardedArtifactStore:
+    """The store at ``path``; how every subcommand opens one.
+
+    Reading commands (``extract``, ``check``, ``sweep``) need an existing
+    store.  Writing commands (``induce``, ``check --out``, ``serve
+    --artifacts``) pass ``create`` and may also make one, but only at a
+    missing path or in an empty directory, so a directory of other files
+    never becomes an empty store.  A refusal or a bad store exits 2.
+    """
+    root = pathlib.Path(path)
+    if not ShardedArtifactStore.is_store(root):
+        if not create:
+            raise SystemExit(
+                f"{root} is not a sharded artifact store "
+                "(create one with 'induce --store')"
+            )
+        if root.exists() and (not root.is_dir() or any(root.iterdir())):
+            raise SystemExit(
+                f"{root} is not a sharded artifact store and not empty; "
+                "a store is created only at a missing path or in an empty directory"
+            )
     try:
-        artifacts = artifacts_from_path(directory)
+        return ShardedArtifactStore(root, n_shards=n_shards)
+    except StoreError as exc:
+        raise SystemExit(str(exc))
+
+
+def _load_artifacts(store: ShardedArtifactStore) -> list[WrapperArtifact]:
+    """Every artifact in ``store``; none, or a corrupt one, exits 2."""
+    try:
+        artifacts = list(store.scan())
     except (ArtifactError, StoreError) as exc:
-        raise SystemExit(f"{directory}: {exc}")
+        raise SystemExit(f"{store.root}: {exc}")
     if not artifacts:
-        raise SystemExit(f"no artifacts found in {directory}")
+        raise SystemExit(f"no artifacts found in {store.root}")
     return artifacts
 
 
@@ -136,18 +162,6 @@ def _validated_tenant(args: argparse.Namespace) -> str:
 
 def cmd_induce(args: argparse.Namespace) -> int:
     _validated_tenant(args)
-    store: Optional[ShardedArtifactStore] = None
-    if args.store:
-        try:
-            # n_shards=None lets an existing store keep its recorded
-            # shard count; a new store gets --shards (or the default).
-            store = ShardedArtifactStore(args.store, n_shards=args.shards)
-        except StoreError as exc:
-            raise SystemExit(str(exc))
-        out = store.root
-    else:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
     tasks = _corpus_tasks(args.multi)
     if args.task:
         wanted = set(args.task)
@@ -157,6 +171,9 @@ def cmd_induce(args: argparse.Namespace) -> int:
             raise SystemExit(f"unknown task ids: {', '.join(sorted(unknown))}")
     if args.limit is not None:
         tasks = tasks[: args.limit]
+    # n_shards=None lets an existing store keep its recorded shard
+    # count; a new store gets --shards (or the default).
+    store = _open_store(args.store, create=True, n_shards=args.shards)
 
     config = InductionConfig(k=args.k)
     inducer = WrapperInducer(k=args.k, config=config)
@@ -184,10 +201,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
             },
             config=config,
         )
-        if store is not None:
-            store.put(artifact)
-        else:
-            artifact.save(out / artifact.filename())
+        store.put(artifact)
         written += 1
         best = artifact.best
         print(
@@ -195,12 +209,12 @@ def cmd_induce(args: argparse.Namespace) -> int:
             f"[score={best.score:g} tp={best.tp} fp={best.fp} fn={best.fn}]"
         )
     elapsed = time.perf_counter() - started
-    print(f"\n{written} artifacts written to {out} in {elapsed:.2f}s")
+    print(f"\n{written} artifacts written to {store.root} in {elapsed:.2f}s")
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    artifacts = _load_artifacts(pathlib.Path(args.artifacts))
+    artifacts = _load_artifacts(_open_store(args.artifacts))
     specs = _site_specs(artifacts)
     site_ids = sorted({a.site_id for a in artifacts})
     page_html = {}
@@ -244,8 +258,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    artifacts = _load_artifacts(pathlib.Path(args.artifacts))
+    source = _open_store(args.artifacts)
+    artifacts = _load_artifacts(source)
     specs = _site_specs(artifacts)
+    repaired_store = None
+    if args.repair and args.out:
+        repaired_store = _open_store(args.out, create=True, n_shards=source.n_shards)
     config = SweepConfig(
         n_snapshots=args.snapshots,
         repair=False,
@@ -274,10 +292,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             else:
                 repaired += 1
                 line += f" -> repaired (gen {fixed.generation}): {fixed.best.text}"
-                if args.out:
-                    out = pathlib.Path(args.out)
-                    out.mkdir(parents=True, exist_ok=True)
-                    fixed.save(out / fixed.filename())
+                if repaired_store is not None:
+                    repaired_store.put(fixed)
         print(line)
     print(
         f"\n{len(artifacts)} wrappers checked over {args.snapshots - 1} snapshots: "
@@ -299,27 +315,13 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _client_for_listen(path: Optional[str], tenant: str = ""):
-    """The network server's backend: a sharded store when ``path`` is
-    (or can become) one, an in-memory preload for flat artifact dirs,
-    a fresh in-memory registry when no path is given."""
+    """The network server's backend: the store at ``path`` (created at a
+    missing path or in an empty directory), or a fresh in-memory
+    registry when no path is given."""
     from repro.api.client import WrapperClient
 
-    if path is None:
-        return WrapperClient(tenant=tenant)
-    root = pathlib.Path(path)
-    if not ShardedArtifactStore.is_store(root) and root.is_dir() and any(
-        root.glob("*.json")
-    ):
-        client = WrapperClient(tenant=tenant)
-        artifacts = _load_artifacts(root)
-        for artifact in artifacts:
-            client.deploy(artifact)
-        print(f"preloaded {len(artifacts)} artifact(s) from flat directory {root}")
-        return client
-    try:
-        return WrapperClient(store=root, tenant=tenant)
-    except StoreError as exc:
-        raise SystemExit(str(exc))
+    store = _open_store(path, create=True) if path is not None else None
+    return WrapperClient(store=store, tenant=tenant)
 
 
 def _serve_ownership(args: argparse.Namespace, client):
@@ -441,15 +443,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not ShardedArtifactStore.is_store(args.store):
-        raise SystemExit(
-            f"{args.store} is not a sharded artifact store "
-            "(create one with 'induce --store')"
-        )
-    try:
-        store = ShardedArtifactStore(args.store)
-    except StoreError as exc:
-        raise SystemExit(str(exc))
+    store = _open_store(args.store)
     config = SweepConfig(
         n_snapshots=args.snapshots,
         repair=not args.no_repair,
@@ -535,10 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    induce = sub.add_parser("induce", help="induce corpus wrappers into JSON artifacts")
-    target = induce.add_mutually_exclusive_group(required=True)
-    target.add_argument("--out", help="flat artifact output directory")
-    target.add_argument("--store", help="sharded artifact store root")
+    induce = sub.add_parser("induce", help="induce corpus wrappers into a sharded store")
+    induce.add_argument("--store", required=True, help="sharded artifact store root")
     induce.add_argument(
         "--shards",
         type=_COUNT,
@@ -561,17 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
     induce.set_defaults(func=cmd_induce)
 
     extract = sub.add_parser("extract", help="extract artifacts against a snapshot")
-    extract.add_argument("--artifacts", required=True, help="artifact directory")
+    extract.add_argument("--artifacts", required=True, help="sharded artifact store root")
     extract.add_argument("--snapshot", type=_INDEX, default=0, help="archive snapshot index")
     extract.add_argument("--no-ensemble", action="store_true", help="top queries only")
     extract.add_argument("--json", help="write extraction records to this file")
     extract.set_defaults(func=cmd_extract)
 
     check = sub.add_parser("check", help="replay snapshots, report drift, optionally repair")
-    check.add_argument("--artifacts", required=True, help="artifact directory")
+    check.add_argument("--artifacts", required=True, help="sharded artifact store root")
     check.add_argument("--snapshots", type=_SNAPSHOTS, default=20, help="snapshots to replay")
     check.add_argument("--repair", action="store_true", help="auto re-induce on drift")
-    check.add_argument("--out", help="directory for repaired artifacts")
+    check.add_argument("--out", help="store root for repaired artifacts (with --repair)")
     check.add_argument(
         "--strict-canonical",
         action="store_true",
@@ -591,9 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--artifacts",
         help=(
-            "store root to serve (created if missing); a flat artifact "
-            "directory is preloaded read-only; omit for a fresh in-memory "
-            "registry"
+            "store root to serve (created at a missing path or in an empty "
+            "directory); omit for a fresh in-memory registry"
         ),
     )
     serve.add_argument(

@@ -58,20 +58,18 @@ CANONICAL_CHANGE = "canonical_change"
 #: Signals that flag a wrapper as drifted (vs. merely monitored).
 HARD_SIGNALS = frozenset({EMPTY_RESULT, ENSEMBLE_DISAGREEMENT})
 
+#: The fraction of ensemble members that must disagree with the top
+#: query before the ensemble signal fires: a single broken member of a
+#: 3-committee stays quiet (members break independently by design)
+#: while a majority break fires.
+DISAGREEMENT_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class DriftConfig:
-    """Detector thresholds.
+    """``canonical_change_is_hard`` promotes the c-change signal to a
+    drift trigger for paranoid deployments."""
 
-    ``disagreement_threshold`` is the fraction of ensemble members that
-    must disagree with the top query before the ensemble signal fires;
-    with the default 0.5 a single broken member of a 3-committee stays
-    quiet (expected: members break independently by design) while a
-    majority break fires.  ``canonical_change_is_hard`` promotes the
-    c-change signal to a drift trigger for paranoid deployments.
-    """
-
-    disagreement_threshold: float = 0.5
     canonical_change_is_hard: bool = False
 
     def hard_signals(self) -> frozenset[str]:
@@ -120,7 +118,7 @@ def drift_verdict(
     elif sorted_paths() != artifact.baseline_paths:
         signals.append(CANONICAL_CHANGE)
     disagreeing = sum(1 for member in members if member != result)
-    if members and disagreeing / len(members) >= config.disagreement_threshold:
+    if members and disagreeing / len(members) >= DISAGREEMENT_THRESHOLD:
         signals.append(ENSEMBLE_DISAGREEMENT)
     hard = config.hard_signals()
     return tuple(signals), any(signal in hard for signal in signals), disagreeing

@@ -11,8 +11,8 @@ dominant cost per *pair*.
 document index per page, every wrapper evaluated against it through
 the globally memoized text-plan cache
 (:func:`repro.xpath.compile.compile_text`, shared across pages since
-plans are document independent) or through plans an artifact
-pre-compiled at load time (``plans=`` on :func:`extract_document`).
+plans are document independent; loading an artifact compiles its
+deployed wrappers into it).
 :func:`extract_records` runs it in process over a list of
 :class:`PageJob`\\ s (the CLI's ``extract``), and the serving layer
 (:mod:`repro.runtime.serve`) runs it on its thread with a parse cache.
@@ -24,13 +24,13 @@ loop on the full corpus in ``BENCH_runtime.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.dom.node import AttributeNode, Document, Node
 from repro.dom.parser import parse_html
 from repro.xpath.canonical import canonical_path
 from repro.xpath.cache import CachedEvaluator
-from repro.xpath.compile import CompiledQuery, compile_text
+from repro.xpath.compile import compile_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.artifact import WrapperArtifact
@@ -85,21 +85,12 @@ def extract_document(
     doc: Document,
     wrappers: Sequence[tuple[str, str]],
     page_id: str = "",
-    plans: Mapping[str, CompiledQuery] | None = None,
 ) -> list[ExtractionRecord]:
-    """Evaluate several wrappers against one already-parsed document.
-
-    ``plans`` optionally maps wrapper text to pre-compiled plans (see
-    :meth:`~repro.runtime.artifact.WrapperArtifact.extraction_plans`);
-    texts not covered fall back to the global text-plan memo.
-    """
+    """Evaluate several wrappers against one already-parsed document."""
     evaluator = CachedEvaluator(doc)
     records: list[ExtractionRecord] = []
     for wrapper_id, text in wrappers:
-        plan = plans.get(text) if plans is not None else None
-        if plan is None:
-            plan = compile_text(text)
-        matches = evaluator.evaluate_plan(plan, doc.root)
+        matches = evaluator.evaluate_plan(compile_text(text), doc.root)
         references = [_node_reference(doc, node) for node in matches]
         records.append(
             ExtractionRecord(

@@ -1,10 +1,10 @@
-"""Sharded, crash-safe wrapper artifact store.
+"""Sharded, crash-safe wrapper artifact store: the one on-disk form of a
+wrapper artifact.
 
 A deployment serving every corpus site holds one :class:`WrapperArtifact`
-per task; a flat directory of JSON files stops scaling the moment more
-than one worker owns the fleet.  :class:`ShardedArtifactStore` partitions
-artifacts across ``N`` shard directories by a *stable* hash of the site
-key, so:
+per task, and more than one worker may own the fleet.
+:class:`ShardedArtifactStore` partitions artifacts across ``N`` shard
+directories by a *stable* hash of the site key, so:
 
 * co-located tasks (same site, different roles) land in the same shard —
   one sweep worker parses a site's archive once for all its wrappers;
@@ -19,9 +19,13 @@ Python's builtin ``hash`` — the builtin is salted per process
 (``PYTHONHASHSEED``) and would scatter the same key across different
 shards in different processes.
 
-Durability: :meth:`put` writes to a temp file in the destination shard
-and publishes it with ``os.replace``, so a reader (or a crash) never
-observes a partially written artifact — the temp name does not match the
+Durability: every file the store publishes — an artifact on :meth:`put`,
+``store.json`` when a store is created, a report stream copied by
+:func:`migrate_store` — goes through one writer, :func:`_write_atomic`.
+It writes a temp file of its own next to the target, fsyncs it and
+renames it into place, so a reader (or a crash) never observes a
+partially written file, and two threads of one process writing the same
+key never share a temp file.  Temp names do not match the
 ``*.json`` pattern ``scan()``/``get()`` read.  Reads go through a small
 in-process LRU keyed by file mtime, so repeated ``get()``s of a hot
 wrapper skip JSON parsing + query validation while an out-of-band
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import secrets
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -67,6 +72,31 @@ def _task_id_of(path: pathlib.Path) -> str:
     return path.stem.replace("__", "/")
 
 
+def _write_atomic(path: pathlib.Path, text: str) -> int:
+    """Publish ``text`` at ``path``; the one way the store writes a file.
+
+    The text goes to a temp file of this call's own next to ``path``
+    (``<name>.tmp-<random>``, created with mode ``"x"`` so it gets the
+    umask's usual mode), is flushed and fsync'd, then renamed into
+    place.  A failure before the rename removes the temp file, so
+    readers see the previous file or the new one, never a torn one.
+    Returns the published file's mtime in nanoseconds.
+    """
+    tmp = path.with_name(f"{path.name}.tmp-{secrets.token_hex(8)}")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+            mtime = os.fstat(handle.fileno()).st_mtime_ns
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return mtime
+
+
 @dataclass(frozen=True)
 class CacheInfo:
     """Counters for the in-process artifact LRU."""
@@ -84,7 +114,7 @@ class ShardedArtifactStore:
     Layout::
 
         <root>/store.json            {"version": 1, "n_shards": N}
-        <root>/shard-00/<task>.json  artifacts (atomic tmp+replace)
+        <root>/shard-00/<task>.json  artifacts (atomic tmp+fsync+replace)
         <root>/shard-00/reports/<task>.jsonl   drift-report streams
         ...
         <root>/shard-NN/...
@@ -129,8 +159,8 @@ class ShardedArtifactStore:
             self.root.mkdir(parents=True, exist_ok=True)
             for index in range(self.n_shards):
                 self._shard_dir(index).mkdir(exist_ok=True)
-            tmp = meta_path.with_name(STORE_META + f".tmp-{os.getpid()}")
-            tmp.write_text(
+            _write_atomic(
+                meta_path,
                 json.dumps(
                     {
                         "version": STORE_VERSION,
@@ -138,9 +168,8 @@ class ShardedArtifactStore:
                         "epoch": self.epoch,
                     }
                 )
-                + "\n"
+                + "\n",
             )
-            os.replace(tmp, meta_path)
         if cache_size < 0:
             raise StoreError("cache_size must be >= 0")
         self.cache_size = cache_size
@@ -188,20 +217,12 @@ class ShardedArtifactStore:
     # -- read/write ---------------------------------------------------------
 
     def put(self, artifact: WrapperArtifact) -> pathlib.Path:
-        """Persist atomically: a crash mid-write leaves only an invisible
-        temp file; readers see either the old generation or the new one."""
+        """Persist atomically through :func:`_write_atomic`: a crash
+        mid-write leaves no trace; readers see either the old generation
+        or the new one."""
         final = self.path_of(artifact.task_id)
-        tmp = final.with_name(final.name + f".tmp-{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(artifact.dumps() + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, final)
-        finally:
-            if tmp.exists():  # failed before replace: never publish
-                tmp.unlink()
-        self._remember(artifact.task_id, final, artifact)
+        mtime = _write_atomic(final, artifact.dumps() + "\n")
+        self._remember(artifact.task_id, artifact, mtime)
         return final
 
     def get(self, task_id: str) -> WrapperArtifact:
@@ -222,8 +243,8 @@ class ShardedArtifactStore:
             self._cache.move_to_end(task_id)
             return cached[1]
         self._misses += 1
-        artifact = WrapperArtifact.load(path)
-        self._remember(task_id, path, artifact, mtime=mtime)
+        artifact = WrapperArtifact.loads(path.read_text(encoding="utf-8"))
+        self._remember(task_id, artifact, mtime)
         return artifact
 
     def remove(self, task_id: str) -> None:
@@ -233,20 +254,9 @@ class ShardedArtifactStore:
         except FileNotFoundError:
             raise KeyError(task_id) from None
 
-    def _remember(
-        self,
-        task_id: str,
-        path: pathlib.Path,
-        artifact: WrapperArtifact,
-        mtime: Optional[int] = None,
-    ) -> None:
+    def _remember(self, task_id: str, artifact: WrapperArtifact, mtime: int) -> None:
         if self.cache_size == 0:
             return
-        if mtime is None:
-            try:
-                mtime = os.stat(path).st_mtime_ns
-            except FileNotFoundError:  # pragma: no cover - racing remover
-                return
         self._cache[task_id] = (mtime, artifact)
         self._cache.move_to_end(task_id)
         while len(self._cache) > self.cache_size:
@@ -324,23 +334,6 @@ class ShardedArtifactStore:
         return sorted(self.root.glob("shard-*/reports/*.jsonl"))
 
 
-def migrate_directory(
-    directory: str | os.PathLike,
-    root: str | os.PathLike,
-    n_shards: int = DEFAULT_SHARDS,
-) -> ShardedArtifactStore:
-    """Import a flat artifact directory (the pre-store CLI layout) into a
-    sharded store.  Corrupt files raise — a migration must not silently
-    drop wrappers."""
-    store = ShardedArtifactStore(root, n_shards=n_shards)
-    for path in sorted(pathlib.Path(directory).glob("*.json")):
-        try:
-            store.put(WrapperArtifact.load(path))
-        except ArtifactError as exc:
-            raise StoreError(f"cannot migrate {path}: {exc}") from exc
-    return store
-
-
 @dataclass(frozen=True)
 class MigrationMove:
     """One artifact's placement across a migration."""
@@ -384,13 +377,13 @@ def migrate_store(
 
     Every artifact is re-placed under ``n_shards`` (default: the source
     count — a pure epoch bump) and published into ``dest`` with the
-    store's usual tmp+fsync+``os.replace`` write, so the cut-over is
+    store's one writer (:func:`_write_atomic`), so the cut-over is
     **atomic per artifact**: a crash mid-migration leaves a prefix of
     fully-published artifacts and zero torn ones, and re-running the
     same migration resumes idempotently (an existing destination store
     is reopened when its recorded shape matches).  Drift-report streams
-    ride along the same way (whole-file tmp+replace, so a resume never
-    duplicates telemetry lines).  Corrupt source artifacts raise — a
+    ride along through the same writer, whole, so a resume never
+    duplicates telemetry lines.  Corrupt source artifacts raise — a
     migration must not silently drop wrappers.
 
     ``epoch`` defaults to ``src.epoch + 1`` and must advance: the epoch
@@ -453,34 +446,11 @@ def migrate_store(
         if src_reports.exists():
             dest_reports = dest_store.reports_path(task_id)
             dest_reports.parent.mkdir(exist_ok=True)
-            tmp = dest_reports.with_name(dest_reports.name + f".tmp-{os.getpid()}")
-            tmp.write_text(src_reports.read_text())
-            os.replace(tmp, dest_reports)
+            _write_atomic(dest_reports, src_reports.read_text(encoding="utf-8"))
     missing = [task_id for task_id in task_ids if task_id not in dest_store]
     if missing:  # pragma: no cover - put() raising is the expected path
         raise StoreError(f"migration lost {len(missing)} artifact(s): {missing[:3]}")
     return plan
-
-
-def artifacts_from_path(path: str | os.PathLike) -> list[WrapperArtifact]:
-    """Load every artifact under ``path`` — a store root or a flat
-    directory of ``*.json`` files (the CLI accepts both)."""
-    if ShardedArtifactStore.is_store(path):
-        return list(ShardedArtifactStore(path).scan())
-    artifacts = []
-    for file in sorted(pathlib.Path(path).glob("*.json")):
-        try:
-            artifacts.append(WrapperArtifact.load(file))
-        except ArtifactError as exc:
-            raise ArtifactError(f"{file}: {exc}") from exc
-    return artifacts
-
-
-def open_or_none(path: str | os.PathLike) -> Optional[ShardedArtifactStore]:
-    """The store at ``path`` when it is one, else ``None``."""
-    if ShardedArtifactStore.is_store(path):
-        return ShardedArtifactStore(path)
-    return None
 
 
 __all__ = [
@@ -492,10 +462,7 @@ __all__ = [
     "STORE_VERSION",
     "ShardedArtifactStore",
     "StoreError",
-    "artifacts_from_path",
-    "migrate_directory",
     "migrate_store",
-    "open_or_none",
     "shard_index",
     "site_key_of",
 ]

@@ -444,8 +444,7 @@ class TestLocalRemoteEquivalence:
             )
             remote.close()
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+            _terminate([proc])
 
     def test_router_results_are_payload_identical(self):
         """The 2-host routed backend answers byte-for-byte what the

@@ -452,7 +452,7 @@ class TestTenantIsolation:
                 "-m",
                 "repro.runtime",
                 "induce",
-                "--out",
+                "--store",
                 "unused-dir",
                 "--tenant",
                 "bad tenant",

@@ -12,8 +12,15 @@ import pytest
 
 from repro.dom.builder import E, document
 from repro.induction import QuerySample, WrapperInducer
-from repro.runtime import ARTIFACT_VERSION, ArtifactError, StoredSample, WrapperArtifact
+from repro.runtime import (
+    ARTIFACT_VERSION,
+    ArtifactError,
+    ShardedArtifactStore,
+    StoredSample,
+    WrapperArtifact,
+)
 from repro.sites import multi_node_tasks, single_node_tasks
+from repro.xpath import compile as xpath_compile
 from repro.xpath.compile import evaluate_compiled
 
 INDUCER = WrapperInducer(k=10)
@@ -54,15 +61,15 @@ class TestRoundTripLossless:
         votes = reloaded.ensemble_wrapper().select(doc)
         assert {id(n) for n in votes} == {id(n) for n in targets}
 
-    def test_loaded_artifact_carries_compiled_plans(self):
+    def test_loaded_artifact_carries_compiled_plans(self, monkeypatch):
         artifact, doc, targets = _build_artifact(ROUND_TRIP_TASKS[0])
+        memo = {}
+        monkeypatch.setattr(xpath_compile, "_TEXT_CACHE", memo)
         reloaded = WrapperArtifact.loads(artifact.dumps())
-        plans = reloaded.extraction_plans()
-        # Every deployed wrapper text — best + committee — has a plan,
-        # compiled eagerly at load (memoized: same mapping every call).
-        assert set(plans) == {reloaded.best.text, *reloaded.ensemble}
-        assert reloaded.extraction_plans() is plans
-        plan = plans[reloaded.best.text]
+        # Every deployed wrapper text — best + committee — is compiled
+        # into the global plan memo at load, so serving never compiles.
+        assert {reloaded.best.text, *reloaded.ensemble} <= memo.keys()
+        plan = memo[reloaded.best.text]
         assert {id(n) for n in plan.run(doc.root, doc)} == {id(n) for n in targets}
 
     def test_single_task_set_covers_every_corpus_site(self):
@@ -205,6 +212,6 @@ class TestValidation:
 
     def test_save_load_file_round_trip(self, tmp_path):
         artifact, _, _ = _build_artifact(single_node_tasks(limit=1)[0])
-        path = tmp_path / artifact.filename()
-        artifact.save(path)
-        assert WrapperArtifact.load(path) == artifact
+        path = ShardedArtifactStore(tmp_path / "store").put(artifact)
+        assert path.read_text() == artifact.dumps() + "\n"
+        assert ShardedArtifactStore(tmp_path / "store").get(artifact.task_id) == artifact

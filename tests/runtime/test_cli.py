@@ -11,7 +11,7 @@ from repro.runtime.cli import EXIT_DRIFT, EXIT_OK, main
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
-    assert main(["induce", "--out", str(out), "--limit", "3"]) == 0
+    assert main(["induce", "--store", str(out), "--limit", "3"]) == 0
     return out
 
 
@@ -28,24 +28,23 @@ def test_main_module_import_is_side_effect_free():
 
 class TestInduce:
     def test_writes_one_artifact_per_task(self, artifact_dir):
-        assert len(list(artifact_dir.glob("*.json"))) == 3
+        assert len(list(artifact_dir.glob("shard-*/*.json"))) == 3
 
     def test_artifacts_are_loadable(self, artifact_dir):
-        from repro.runtime import WrapperArtifact
+        from repro.runtime import ShardedArtifactStore
 
-        for path in artifact_dir.glob("*.json"):
-            artifact = WrapperArtifact.load(path)
+        for artifact in ShardedArtifactStore(artifact_dir).scan():
             assert artifact.queries and artifact.samples
 
     def test_specific_task_selection(self, tmp_path, capsys):
         out = tmp_path / "one"
-        assert main(["induce", "--out", str(out), "--task", "movies-0/director"]) == 0
-        assert [p.name for p in out.glob("*.json")] == ["movies-0__director.json"]
+        assert main(["induce", "--store", str(out), "--task", "movies-0/director"]) == 0
+        assert [p.name for p in out.glob("shard-*/*.json")] == ["movies-0__director.json"]
         assert "movies-0/director" in capsys.readouterr().out
 
     def test_unknown_task_fails(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["induce", "--out", str(tmp_path), "--task", "no-such/task"])
+            main(["induce", "--store", str(tmp_path), "--task", "no-such/task"])
 
 
 class TestExtract:
@@ -72,7 +71,26 @@ class TestExtract:
         with pytest.raises(SystemExit) as exit_info:
             main(["extract", "--artifacts", str(tmp_path / "nothing_here")])
         assert exit_info.value.code == 2
-        assert "no artifacts" in capsys.readouterr().err
+        assert "not a sharded artifact store" in capsys.readouterr().err
+
+    def test_directory_of_artifact_files_is_not_a_store(self, artifact_dir, tmp_path, capsys):
+        """A directory of bare ``*.json`` artifacts (no ``store.json``)
+        is refused by every command, and left as it was."""
+        loose = tmp_path / "loose"
+        loose.mkdir()
+        for path in artifact_dir.glob("shard-*/*.json"):
+            (loose / path.name).write_bytes(path.read_bytes())
+        before = sorted(p.name for p in loose.iterdir())
+        for argv in (
+            ["extract", "--artifacts", str(loose)],
+            ["check", "--artifacts", str(loose), "--snapshots", "2"],
+            ["serve", "--listen", "127.0.0.1:0", "--artifacts", str(loose)],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "not a sharded artifact store" in capsys.readouterr().err
+        assert sorted(p.name for p in loose.iterdir()) == before
 
 
 class TestCheck:
@@ -87,7 +105,9 @@ class TestCheck:
     def test_drifting_wrapper_is_repaired_and_exits_nonzero(self, tmp_path, capsys):
         out_dir = tmp_path / "weather"
         repaired_dir = tmp_path / "repaired"
-        assert main(["induce", "--out", str(out_dir), "--task", "weather-1/temp"]) == 0
+        assert main(
+            ["induce", "--store", str(out_dir), "--shards", "4", "--task", "weather-1/temp"]
+        ) == 0
         rc = main(
             [
                 "check",
@@ -106,10 +126,15 @@ class TestCheck:
         output = capsys.readouterr().out
         assert "DRIFT weather-1/temp" in output
         assert "repaired (gen 1)" in output
-        from repro.runtime import WrapperArtifact
+        from repro.runtime import ShardedArtifactStore
 
-        (path,) = repaired_dir.glob("*.json")
-        assert WrapperArtifact.load(path).generation == 1
+        # The repaired generation lands in a store of the input's shape,
+        # which the reading commands take like any other.
+        repaired = ShardedArtifactStore(repaired_dir)
+        assert repaired.n_shards == 4
+        assert repaired.get("weather-1/temp").generation == 1
+        assert main(["extract", "--artifacts", str(repaired_dir), "--snapshot", "15"]) == 0
+        assert "weather-1/temp: 1 node(s)" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -182,20 +207,6 @@ class TestStoreWorkflow:
         assert exit_info.value.code == 2
         assert "re-sharding" in capsys.readouterr().err
 
-    def test_out_and_store_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "induce",
-                    "--out",
-                    str(tmp_path),
-                    "--store",
-                    str(tmp_path),
-                    "--limit",
-                    "1",
-                ]
-            )
-
 
 class TestServe:
     def test_workers_flag_is_gone(self, store_dir, capsys):
@@ -231,9 +242,6 @@ class TestServeListen:
         store_backed = _client_for_listen(str(store_dir))
         assert store_backed.store is not None
         assert "weather-1/temp" in store_backed
-
-        preloaded = _client_for_listen(str(artifact_dir))
-        assert preloaded.store is None and len(preloaded) == 3
 
         created = _client_for_listen(str(tmp_path / "new-store"))
         assert created.store is not None and len(created) == 0
@@ -292,12 +300,14 @@ BAD_INVOCATIONS = [
     (["serve", "--listen", "127.0.0.1:0", "--concurrency", "99"], "unrecognized arguments: --concurrency 99"),
     (["serve", "--listen", "127.0.0.1:0", "--no-ensemble"], "unrecognized arguments: --no-ensemble"),
     (["serve", "--listen", "127.0.0.1:0", "--json", "{tmp}/x.json"], "unrecognized arguments: --json"),
-    (["induce", "--out", "{tmp}", "--k", "0"], "--k: must be >= 1"),
-    (["induce", "--out", "{tmp}", "--limit", "-1"], "--limit: must be >= 1"),
-    (["induce", "--out", "{tmp}", "--ensemble-size", "0"], "--ensemble-size: must be >= 1"),
-    (["induce", "--out", "{tmp}", "--k", "ten"], "--k: invalid int value: 'ten'"),
+    (["induce", "--store", "{tmp}", "--k", "0"], "--k: must be >= 1"),
+    (["induce", "--store", "{tmp}", "--limit", "-1"], "--limit: must be >= 1"),
+    (["induce", "--store", "{tmp}", "--ensemble-size", "0"], "--ensemble-size: must be >= 1"),
+    (["induce", "--store", "{tmp}", "--k", "ten"], "--k: invalid int value: 'ten'"),
+    # A store is the only output: the directory of loose files is gone.
+    (["induce", "--store", "{tmp}/s", "--out", "{tmp}"], "unrecognized arguments: --out"),
     (["migrate", "--store", "{tmp}", "--dest", "{tmp}", "--shards", "0"], "--shards: must be >= 1"),
-    (["check", "--artifacts", "{tmp}"], "no artifacts found"),
+    (["check", "--artifacts", "{tmp}"], "not a sharded artifact store"),
 ]
 
 

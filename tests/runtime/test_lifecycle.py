@@ -19,6 +19,7 @@ from repro.induction import QuerySample, WrapperInducer
 from repro.runtime import (
     DriftDetector,
     PageJob,
+    ShardedArtifactStore,
     WrapperArtifact,
     reinduce,
 )
@@ -67,11 +68,10 @@ def _run_lifecycle(task_id, tmp_path):
         role=role,
         provenance={"snapshot": 0},
     )
-    path = tmp_path / induced.filename()
-    induced.save(path)
+    ShardedArtifactStore(tmp_path / "store").put(induced)
 
     # 2. reload — everything below runs on the deserialized artifact
-    artifact = WrapperArtifact.load(path)
+    artifact = ShardedArtifactStore(tmp_path / "store").get(task_id)
     assert artifact == induced
 
     # 3. serve: batch-extract the wrapper over every later snapshot and
@@ -167,9 +167,8 @@ def test_replay_window_spans_20_snapshots(tmp_path):
         site_id=corpus_task.spec.site_id,
         role=corpus_task.task.role,
     )
-    path = tmp_path / artifact.filename()
-    artifact.save(path)
-    artifact = WrapperArtifact.load(path)
+    ShardedArtifactStore(tmp_path / "store").put(artifact)
+    artifact = ShardedArtifactStore(tmp_path / "store").get(artifact.task_id)
 
     jobs = []
     for index in range(1, N_SNAPSHOTS):

@@ -4,8 +4,10 @@ multi-process access, and the drift-report streams."""
 import json
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -13,8 +15,6 @@ from repro.runtime import (
     ShardedArtifactStore,
     StoreError,
     WrapperArtifact,
-    artifacts_from_path,
-    migrate_directory,
     shard_index,
     site_key_of,
 )
@@ -115,11 +115,15 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError, match="simulated crash"):
             store.put(artifact)
+        # Creating a store publishes store.json the same way.
+        with pytest.raises(OSError, match="simulated crash"):
+            ShardedArtifactStore(tmp_path / "new", n_shards=2)
         monkeypatch.undo()
         assert artifact.task_id not in store
         assert list(store.scan()) == []
-        # The failed temp file was cleaned up, not left to rot.
-        assert list(store.root.rglob("*.tmp-*")) == []
+        assert not ShardedArtifactStore.is_store(tmp_path / "new")
+        # The failed temp files were cleaned up, not left to rot.
+        assert list(tmp_path.rglob("*.tmp-*")) == []
         # The same store keeps working after the "crash".
         store.put(artifact)
         assert store.get(artifact.task_id) == artifact
@@ -130,6 +134,16 @@ class TestAtomicWrites:
         (shard / "stray.json.tmp-999").write_text("{ torn")
         assert store.task_ids() == sorted(a.task_id for a in artifacts)
         list(store.scan())  # does not try to parse the torn file
+
+    def test_published_files_keep_the_umask_mode(self, tmp_path, artifacts):
+        previous = os.umask(0o022)
+        try:
+            store = ShardedArtifactStore(tmp_path / "store", n_shards=2)
+            path = store.put(artifacts[0])
+        finally:
+            os.umask(previous)
+        for published in (path, store.root / "store.json"):
+            assert stat.S_IMODE(os.stat(published).st_mode) == 0o644
 
     def test_put_replaces_previous_generation(self, store, artifacts):
         artifact = artifacts[0]
@@ -206,6 +220,59 @@ class TestConcurrentAccess:
         assert sorted(a.task_id for a in loaded) == sorted(task_ids)
 
 
+class TestThreadedWriters:
+    """Threads of one process (the server's induce pool and executor)
+    writing one key must never share a temp file."""
+
+    def test_concurrent_puts_of_one_key_never_tear(self, store, artifacts):
+        artifact = artifacts[0]
+        path = store.path_of(artifact.task_id)
+        errors, torn = [], []
+        writing = True
+
+        def write():
+            try:
+                for _ in range(150):
+                    store.put(artifact)
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        def read():
+            while writing:
+                try:
+                    WrapperArtifact.loads(path.read_text())
+                except Exception as exc:  # noqa: BLE001 - collected
+                    torn.append(exc)
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            writing = False
+            reader.join(timeout=10)
+        finally:
+            writing = False
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in (reader, *writers))
+        assert errors == []
+        assert torn == []
+        assert list(store.root.rglob("*.tmp-*")) == []
+        assert store.get(artifact.task_id) == artifact
+
+    def test_put_leaves_another_writers_temp_file_alone(self, store, artifacts):
+        path = store.path_of(artifacts[0].task_id)
+        other = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+        other.write_text("another writer's half-written artifact")
+        store.put(artifacts[0])
+        assert other.read_text() == "another writer's half-written artifact"
+
+
 class TestReportStreams:
     def test_append_and_read_round_trip(self, store, artifacts):
         task_id = artifacts[0].task_id
@@ -227,27 +294,6 @@ class TestReportStreams:
 
 
 class TestMigrationAndDiscovery:
-    def test_flat_directory_migrates_losslessly(self, tmp_path, artifacts):
-        flat = tmp_path / "flat"
-        flat.mkdir()
-        for artifact in artifacts:
-            artifact.save(flat / artifact.filename())
-        store = migrate_directory(flat, tmp_path / "migrated", n_shards=4)
-        assert sorted(a.task_id for a in store.scan()) == sorted(
-            a.task_id for a in artifacts
-        )
-
-    def test_artifacts_from_path_handles_both_layouts(self, tmp_path, store, artifacts):
-        flat = tmp_path / "flat2"
-        flat.mkdir()
-        for artifact in artifacts:
-            artifact.save(flat / artifact.filename())
-        from_flat = artifacts_from_path(flat)
-        from_store = artifacts_from_path(store.root)
-        assert sorted(a.task_id for a in from_flat) == sorted(
-            a.task_id for a in from_store
-        )
-
     def test_get_missing_raises_keyerror(self, store):
         with pytest.raises(KeyError):
             store.get("no-such/task")
