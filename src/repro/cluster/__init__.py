@@ -1,15 +1,16 @@
 """``repro.cluster`` — cross-host sharded serving.
 
 The store's SHA-1 placement needs no coordination, which makes scaling
-out a routing problem instead of a consensus problem: point N ``serve
---listen`` hosts at disjoint shard groups and teach one client the
-placement function.  This package holds that layer:
+out a routing problem instead of a consensus problem: launch N ``serve
+--listen`` hosts with the shard groups the placement function gives
+them (``ClusterMap.replica_own_shards_arg``) and teach one client the
+same function.  This package holds that layer:
 
 * :mod:`repro.cluster.placement` — the shared pure-function placement
   vocabulary (site keys, SHA-1 shard indexes, tenant namespaces,
   :class:`ShardOwnership`, the epoch-versioned :class:`ClusterMap`,
-  and :func:`replica_indexes` — each shard's primary plus ring-order
-  replica hosts at :data:`REPLICATION_FACTOR`);
+  and the host ring — :func:`replica_indexes` names each shard's
+  primary plus its ring successor, :data:`REPLICATION_FACTOR` hosts);
 * :mod:`repro.cluster.router` — :class:`RouterClient`, the full
   :class:`~repro.api.client.WrapperClient` surface routed per site key
   to the shard's primary with failover to the replica, writes fanned

@@ -19,10 +19,15 @@ answer: a dependency-free pure-function vocabulary shared by
   namespaces: ``<tenant>::<site_key>`` prefixes flow through
   :func:`site_key_of` unchanged, so two tenants' copies of the same
   site key shard (and store) independently with zero extra mechanism;
+* :func:`ring_indexes` / :func:`replica_indexes` — the host ring: a
+  shard's host indexes in ring order from its primary
+  (``shard % n_hosts``), whose first :data:`REPLICATION_FACTOR`
+  entries are the hosts that serve it;
 * :class:`ShardOwnership` — the shard subset one serving host answers
-  for (``serve --listen --own-shards``);
-* :class:`ClusterMap` — host → shard-group assignment derived purely
-  from the host list order, so N ``serve --listen`` processes and a
+  for (``serve --listen --own-shards``), and its ``/healthz`` form;
+* :class:`ClusterMap` — which hosts serve a key, and which shards to
+  launch each host with, derived purely from the host list order, so
+  N ``serve --listen`` processes and a
   :class:`~repro.cluster.router.RouterClient` agree on ownership
   without ever talking to each other.
 
@@ -95,26 +100,31 @@ def shard_of_task(task_id: str, n_shards: int) -> int:
     return shard_index(site_key_of(task_id), n_shards)
 
 
-def replica_indexes(
-    shard: int, n_hosts: int, replication: int = REPLICATION_FACTOR
-) -> tuple[int, ...]:
-    """Host indexes serving one shard: ``(primary, secondary, ...)``.
+def ring_indexes(shard: int, n_hosts: int) -> tuple[int, ...]:
+    """Every host index in ring order from the shard's primary.
 
-    Pure and deterministic — every router and every launch script
-    derive the same replica set with no coordination.  The primary is
-    the classic ``shard % n_hosts`` owner; each further replica is the
-    next host in ring order, so with ≥ 2 hosts the secondary is never
-    on the primary's host.  ``replication`` is capped by the host count
-    (a 1-host cluster has no independent second home to offer).
+    The primary is the classic ``shard % n_hosts`` owner and each next
+    entry is the next host on the ring.  This is the one place the ring
+    is computed: the replica set (:func:`replica_indexes`) is its head,
+    and a router that learned ownership from ``/healthz`` walks the same
+    order over the hosts that actually own the shard.
     """
     if n_hosts < 1:
         raise PlacementError("replica placement needs at least one host")
-    if replication < 1:
-        raise PlacementError("replication factor must be >= 1")
     primary = shard % n_hosts
-    return tuple(
-        (primary + offset) % n_hosts for offset in range(min(replication, n_hosts))
-    )
+    return tuple((primary + offset) % n_hosts for offset in range(n_hosts))
+
+
+def replica_indexes(shard: int, n_hosts: int) -> tuple[int, ...]:
+    """Host indexes serving one shard: ``(primary, secondary)``.
+
+    Pure and deterministic — every router and every launch script
+    derive the same replica set with no coordination.  The first
+    :data:`REPLICATION_FACTOR` entries of :func:`ring_indexes`, so with
+    ≥ 2 hosts the secondary is never on the primary's host, and a
+    1-host cluster (no independent second home to offer) has one.
+    """
+    return ring_indexes(shard, n_hosts)[:REPLICATION_FACTOR]
 
 
 # -- tenant namespaces -------------------------------------------------------
@@ -206,10 +216,6 @@ class ShardOwnership:
             raise PlacementError("a serving host must own at least one shard")
 
     @classmethod
-    def all_shards(cls, n_shards: int) -> "ShardOwnership":
-        return cls(n_shards=n_shards, owned=frozenset(range(n_shards)))
-
-    @classmethod
     def parse(cls, spec: str, n_shards: int) -> "ShardOwnership":
         """Parse a CLI ``--own-shards`` value like ``"0,2,5"``."""
         try:
@@ -239,6 +245,23 @@ class ShardOwnership:
         """The ``/healthz`` form: total shard count + owned subset."""
         return {"n_shards": self.n_shards, "owned": self.sorted_owned()}
 
+    @classmethod
+    def from_payload(cls, payload: Optional[dict], n_shards: int) -> "ShardOwnership":
+        """Read a ``/healthz`` ``shards`` block back (:meth:`as_payload`).
+
+        A host that advertises no block was launched without
+        ``--own-shards`` and serves every one of ``n_shards`` shards.
+        """
+        if not payload:
+            return cls(n_shards=n_shards, owned=frozenset(range(n_shards)))
+        try:
+            return cls(
+                n_shards=int(payload["n_shards"]),
+                owned=frozenset(int(s) for s in payload["owned"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PlacementError(f"malformed shards payload {payload!r}: {exc}") from exc
+
 
 # -- cluster maps ------------------------------------------------------------
 
@@ -248,12 +271,12 @@ class ClusterMap:
     """Host → shard-group assignment, derived purely from placement.
 
     ``hosts`` is an ordered tuple of ``"host:port"`` addresses; shard
-    ``s`` is owned by ``hosts[s % len(hosts)]``.  Because the
-    assignment is a pure function of the (ordered) host list and the
-    shard count, every router client and every serving host given the
-    same pair computes identical ownership with no coordination — the
-    cross-host generalization of the store's coordination-free on-disk
-    placement.
+    ``s`` lives on the hosts :func:`replica_indexes` names, primary
+    ``hosts[s % len(hosts)]`` first.  Because the assignment is a pure
+    function of the (ordered) host list and the shard count, every
+    router client and every serving host given the same pair computes
+    identical ownership with no coordination — the cross-host
+    generalization of the store's coordination-free on-disk placement.
 
     ``epoch`` versions the map: two maps with different epochs describe
     the cluster at different points of its life (hosts joined/left, a
@@ -266,10 +289,12 @@ class ClusterMap:
     Replication: :meth:`replica_hosts` places every shard on
     :data:`REPLICATION_FACTOR` hosts — ``(primary, secondary)`` in ring
     order, the secondary never on the primary's host — and
-    :meth:`replica_ownership_of` is the shard group to *launch* one
-    replicated host with (its primary shards plus every shard it
-    seconds; a host launched with only its primary group would 421 the
-    replica traffic the router sends it).
+    :meth:`replica_ownership_of` (as a CLI value,
+    :meth:`replica_own_shards_arg`) is the shard group to *launch* one
+    host with: its primary shards plus every shard it seconds.  A host
+    launched with only its primary group would 421 the replica traffic
+    the router sends it.  A disjoint layout (hand-picked
+    ``--own-shards`` groups) serves too, without failover.
     """
 
     hosts: tuple[str, ...]
@@ -305,98 +330,21 @@ class ClusterMap:
             epoch=int(epoch),
         )
 
-    def advanced(
-        self,
-        hosts: Optional[Iterable[str]] = None,
-        n_shards: Optional[int] = None,
-    ) -> "ClusterMap":
-        """The next-epoch map: same cluster, one topology step later
-        (hosts joined/left, or the store was re-sharded)."""
-        return ClusterMap(
-            hosts=self.hosts if hosts is None else tuple(hosts),
-            n_shards=self.n_shards if n_shards is None else int(n_shards),
-            epoch=self.epoch + 1,
-        )
-
-    # -- ownership ----------------------------------------------------------
-
-    def owner_index_of_shard(self, shard: int) -> int:
-        if not 0 <= shard < self.n_shards:
-            raise PlacementError(
-                f"shard {shard} out of range for {self.n_shards} shards"
-            )
-        return shard % len(self.hosts)
-
-    def host_of_shard(self, shard: int) -> str:
-        return self.hosts[self.owner_index_of_shard(shard)]
-
     def shard_of(self, task_id: str) -> int:
         return shard_of_task(task_id, self.n_shards)
 
-    def host_of(self, task_id: str) -> str:
-        """The serving host that owns a (qualified) task id."""
-        return self.host_of_shard(self.shard_of(task_id))
-
-    def shards_of(self, host: str) -> tuple[int, ...]:
-        """The shard group one host owns (empty when more hosts than
-        shards leave it idle)."""
-        try:
-            index = self.hosts.index(host)
-        except ValueError:
-            raise PlacementError(
-                f"{host!r} is not in the cluster map {self.hosts}"
-            ) from None
-        return tuple(
-            shard
-            for shard in range(self.n_shards)
-            if shard % len(self.hosts) == index
-        )
-
-    def ownership_of(self, host: str) -> ShardOwnership:
-        """The :class:`ShardOwnership` to launch one host with."""
-        return ShardOwnership(
-            n_shards=self.n_shards, owned=frozenset(self.shards_of(host))
-        )
-
-    def assignments(self) -> dict[str, tuple[int, ...]]:
-        return {host: self.shards_of(host) for host in self.hosts}
-
-    def own_shards_arg(self, host: str) -> str:
-        """The ``--own-shards`` CLI value for one host (``"0,2,4"``)."""
-        return ",".join(str(s) for s in self.shards_of(host))
-
-    # -- replication --------------------------------------------------------
-
-    def replica_indexes_of_shard(
-        self, shard: int, replication: int = REPLICATION_FACTOR
-    ) -> tuple[int, ...]:
-        if not 0 <= shard < self.n_shards:
-            raise PlacementError(
-                f"shard {shard} out of range for {self.n_shards} shards"
-            )
-        return replica_indexes(shard, len(self.hosts), replication)
-
-    def replica_hosts_of_shard(
-        self, shard: int, replication: int = REPLICATION_FACTOR
-    ) -> tuple[str, ...]:
-        return tuple(
-            self.hosts[index]
-            for index in self.replica_indexes_of_shard(shard, replication)
-        )
-
-    def replica_hosts(
-        self, task_id: str, replication: int = REPLICATION_FACTOR
-    ) -> tuple[str, ...]:
+    def replica_hosts(self, task_id: str) -> tuple[str, ...]:
         """``(primary, secondary)`` hosts for a (qualified) task id —
         deterministic, and the secondary is never the primary's host
         (when the cluster has a second host to offer)."""
-        return self.replica_hosts_of_shard(self.shard_of(task_id), replication)
+        return tuple(
+            self.hosts[index]
+            for index in replica_indexes(self.shard_of(task_id), len(self.hosts))
+        )
 
-    def replica_shards_of(
-        self, host: str, replication: int = REPLICATION_FACTOR
-    ) -> tuple[int, ...]:
+    def replica_shards_of(self, host: str) -> tuple[int, ...]:
         """Every shard this host serves as *any* replica (primary or
-        secondary) — the group a replicated cluster member must own."""
+        secondary) — the group a cluster member must own."""
         try:
             index = self.hosts.index(host)
         except ValueError:
@@ -406,24 +354,19 @@ class ClusterMap:
         return tuple(
             shard
             for shard in range(self.n_shards)
-            if index in replica_indexes(shard, len(self.hosts), replication)
+            if index in replica_indexes(shard, len(self.hosts))
         )
 
-    def replica_ownership_of(
-        self, host: str, replication: int = REPLICATION_FACTOR
-    ) -> ShardOwnership:
-        """The :class:`ShardOwnership` to launch one *replicated* host
-        with (primary group plus seconded shards)."""
+    def replica_ownership_of(self, host: str) -> ShardOwnership:
+        """The :class:`ShardOwnership` to launch one host with (its
+        primary shards plus the shards it seconds)."""
         return ShardOwnership(
-            n_shards=self.n_shards,
-            owned=frozenset(self.replica_shards_of(host, replication)),
+            n_shards=self.n_shards, owned=frozenset(self.replica_shards_of(host))
         )
 
-    def replica_own_shards_arg(
-        self, host: str, replication: int = REPLICATION_FACTOR
-    ) -> str:
-        """The ``--own-shards`` CLI value for one replicated host."""
-        return ",".join(str(s) for s in self.replica_shards_of(host, replication))
+    def replica_own_shards_arg(self, host: str) -> str:
+        """The ``--own-shards`` CLI value for one host (``"0,2,3,5"``)."""
+        return ",".join(str(s) for s in self.replica_shards_of(host))
 
 
 __all__ = [
@@ -436,6 +379,7 @@ __all__ = [
     "TENANT_SEP",
     "qualify_key",
     "replica_indexes",
+    "ring_indexes",
     "shard_index",
     "shard_of_task",
     "site_key_of",

@@ -60,7 +60,9 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from repro.cluster.placement import (
     ClusterMap,
     DEFAULT_TENANT,
+    ShardOwnership,
     qualify_key,
+    ring_indexes,
     shard_of_task,
     validate_tenant,
 )
@@ -244,14 +246,10 @@ class RouterClient:
         except ValueError as exc:
             raise FacadeError(str(exc)) from exc
 
-    def host_of(self, site_key: str) -> str:
-        """The *primary* serving host for ``site_key`` (tenant-qualified
-        first, so two tenants' copies of one site may route apart)."""
-        return self.cluster.host_of(self._qualify(site_key))
-
     def replica_hosts(self, site_key: str) -> list[str]:
         """Every host a key may be served from, primary first — the
-        failover order keyed verbs walk."""
+        failover order keyed verbs walk (tenant-qualified first, so two
+        tenants' copies of one site may route apart)."""
         return self._candidates(self._qualify(site_key))
 
     def _candidates(self, qualified: str) -> list[str]:
@@ -259,14 +257,17 @@ class RouterClient:
 
         After an epoch refresh the overlay (ground truth from the live
         hosts' ``/healthz``) wins over the map-derived placement — the
-        map may predate a re-shard.
+        map may predate a re-shard — and its owners are walked in ring
+        order from the shard's primary.
         """
         if self._owned:
             shard = shard_of_task(qualified, self._owned_n_shards)
             hosts = self.cluster.hosts
-            start = shard % len(hosts)
-            ring = [*hosts[start:], *hosts[:start]]
-            owners = [h for h in ring if shard in self._owned.get(h, ())]
+            owners = [
+                hosts[index]
+                for index in ring_indexes(shard, len(hosts))
+                if shard in self._owned.get(hosts[index], ())
+            ]
             if owners:
                 return owners
         return list(self.cluster.replica_hosts(qualified))
@@ -311,31 +312,24 @@ class RouterClient:
         automatically — once per verb — when a 421 proves the router's
         map is stale; callable directly after an operator re-shard.
         """
-        found: dict[str, tuple[int, int, Optional[frozenset[int]]]] = {}
+        found: dict[str, tuple[int, ShardOwnership]] = {}
         best = self._epoch
         for host, info in self.healthz().items():
             if not info.get("ok", False):
                 continue
             epoch = int(info.get("epoch", 0))
-            shards_info = info.get("shards")
-            if shards_info:
-                n = int(shards_info.get("n_shards", self.cluster.n_shards))
-                owned: Optional[frozenset[int]] = frozenset(
-                    int(s) for s in shards_info.get("owned", ())
-                )
-            else:
-                n, owned = self.cluster.n_shards, None  # owns every shard
-            found[host] = (epoch, n, owned)
+            ownership = ShardOwnership.from_payload(
+                info.get("shards"), self.cluster.n_shards
+            )
+            found[host] = (epoch, ownership)
             best = max(best, epoch)
         overlay: dict[str, frozenset[int]] = {}
         n_shards = self._owned_n_shards
-        for host, (epoch, n, owned) in found.items():
+        for host, (epoch, ownership) in found.items():
             if epoch != best:
                 continue
-            n_shards = n
-            overlay[host] = (
-                owned if owned is not None else frozenset(range(n))
-            )
+            n_shards = ownership.n_shards
+            overlay[host] = ownership.owned
         if overlay:
             self._owned = overlay
             self._owned_n_shards = n_shards
@@ -595,9 +589,8 @@ class RouterClient:
         failed = {host: part[1] for host, part in parts.items() if not part[0]}
         if not failed:
             return
-        needed: Optional[set[int]] = None
+        needed: set[int] = set()
         covered: set[int] = set()
-        unsharded_live = False
         for host, (ok, _) in parts.items():
             if not ok:
                 continue
@@ -605,13 +598,12 @@ class RouterClient:
                 info = self.client_for_host(host).healthz()
             except FacadeError:
                 continue
-            shards_info = info.get("shards")
-            if not shards_info:
-                unsharded_live = True  # this host serves every shard
-                continue
-            needed = set(range(int(shards_info["n_shards"])))
-            covered |= {int(s) for s in shards_info.get("owned", ())}
-        if unsharded_live or (needed is not None and needed <= covered):
+            ownership = ShardOwnership.from_payload(
+                info.get("shards"), self.cluster.n_shards
+            )
+            needed = set(range(ownership.n_shards))
+            covered |= ownership.owned
+        if needed and needed <= covered:
             for host, exc in failed.items():
                 self._record_failure(host)
                 self._emit("degraded_scan", host=host, error=str(exc))

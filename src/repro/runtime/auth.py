@@ -268,24 +268,12 @@ class NetMetrics:
         self.max_tenants = int(max_tenants)
         self.requests_total = 0
         self.by_status: dict[int, int] = {}
-        self.unauthorized_401 = 0
-        self.forbidden_403 = 0
-        self.rate_limited_429 = 0
-        self.unowned_421 = 0
         self.tenant_evictions = 0
         self._tenants: "OrderedDict[str, _TenantCounters]" = OrderedDict()
 
     def observe(self, tenant: str, status: int) -> None:
         self.requests_total += 1
         self.by_status[status] = self.by_status.get(status, 0) + 1
-        if status == 401:
-            self.unauthorized_401 += 1
-        elif status == 403:
-            self.forbidden_403 += 1
-        elif status == 429:
-            self.rate_limited_429 += 1
-        elif status == 421:
-            self.unowned_421 += 1
         counters = self._tenants.get(tenant)
         if counters is None:
             counters = self._tenants[tenant] = _TenantCounters()
@@ -301,15 +289,16 @@ class NetMetrics:
             counters.rate_limited += 1
 
     def as_payload(self) -> dict:
+        count = self.by_status.get
         return {
             "requests_total": self.requests_total,
             "by_status": {str(s): n for s, n in sorted(self.by_status.items())},
             "auth": {
-                "unauthorized_401": self.unauthorized_401,
-                "forbidden_403": self.forbidden_403,
-                "rate_limited_429": self.rate_limited_429,
+                "unauthorized_401": count(401, 0),
+                "forbidden_403": count(403, 0),
+                "rate_limited_429": count(429, 0),
             },
-            "rejected_unowned_421": self.unowned_421,
+            "rejected_unowned_421": count(421, 0),
             "tenants": {
                 tenant: counters.as_dict()
                 for tenant, counters in self._tenants.items()

@@ -321,15 +321,11 @@ class WrapperHTTPServer:
         self._induce_latency_total_ms = 0.0
         self._induce_latency_max_ms = 0.0
 
-    def _check_owned(self, site_key: str) -> None:
+    def _check_owned(self, site_key: str, qualified: str) -> None:
         """421 for keys outside this host's shard group (placement is
         computed on the tenant-qualified key, exactly as routers do)."""
         if self.ownership is None:
             return
-        try:
-            qualified = qualify_key(site_key, self.client.tenant)
-        except PlacementError as exc:
-            raise _HTTPError(422, str(exc)) from exc
         shard = self.ownership.shard_of(qualified)
         if shard not in self.ownership.owned:
             # The epoch rides in the rejection so a client holding a
@@ -381,26 +377,6 @@ class WrapperHTTPServer:
             )
         return tenant
 
-    def _qualified(self, site_key: str) -> str:
-        """Tenant-qualify a key exactly as routing does (422 malformed)."""
-        try:
-            return qualify_key(site_key, self.client.tenant)
-        except PlacementError as exc:
-            raise _HTTPError(422, str(exc)) from exc
-
-    def _authorize(self, principal: Optional[str], site_key: str) -> None:
-        """403 when the key's tenant does not own the request's
-        ``tenant::`` namespace — the enforcement point for the
-        isolation the cluster PR introduced."""
-        if principal is None or principal == WILDCARD_TENANT:
-            return
-        if tenant_of(self._qualified(site_key)) != principal:
-            raise _HTTPError(
-                403,
-                f"API key for tenant {principal!r} cannot address "
-                f"site key {site_key!r}",
-            )
-
     def _admit(self, tenant: str, ctx: dict) -> None:
         """Per-tenant quota gate: 429 + Retry-After when the tenant's
         token bucket is dry or its in-flight cap is reached.  Runs
@@ -429,11 +405,23 @@ class WrapperHTTPServer:
     def _check_key(
         self, site_key: str, principal: Optional[str], ctx: dict
     ) -> None:
-        """Every keyed verb's gate, in order: 403 (authorization),
-        429 (quota), 421 (shard ownership)."""
-        self._authorize(principal, site_key)
-        self._admit(tenant_of(self._qualified(site_key)), ctx)
-        self._check_owned(site_key)
+        """Every keyed verb's gate, in order: 422 (malformed key), 403
+        (the API key's tenant is not the key's ``tenant::`` namespace),
+        429 (quota), 421 (shard ownership).  The key is tenant-qualified
+        once, exactly as routing does."""
+        try:
+            qualified = qualify_key(site_key, self.client.tenant)
+        except PlacementError as exc:
+            raise _HTTPError(422, str(exc)) from exc
+        tenant = tenant_of(qualified)
+        if principal not in (None, WILDCARD_TENANT) and tenant != principal:
+            raise _HTTPError(
+                403,
+                f"API key for tenant {principal!r} cannot address "
+                f"site key {site_key!r}",
+            )
+        self._admit(tenant, ctx)
+        self._check_owned(site_key, qualified)
 
     def _owned_keys(self) -> list[str]:
         """Keys restricted to owned shards — a shared store holds every
@@ -1039,7 +1027,6 @@ class WrapperHTTPServer:
             from repro.runtime.artifact import WrapperArtifact
 
             artifact = WrapperArtifact.from_payload(raw)
-            self._check_owned(artifact.task_id)
             self._check_deploy_config(artifact)
             return self.client.deploy(artifact).to_payload()
 

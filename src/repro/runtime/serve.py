@@ -15,12 +15,12 @@ request/response front-end:
   :data:`MAX_BATCH` requests) into one batch, so concurrent callers
   share one hop to the worker thread; a lone request dispatches
   immediately;
-* **parse caching** — a :class:`ParseCache` (content-hash-keyed,
-  byte-budget LRU) is the one way requests share a parse: the first
-  request carrying a page's bytes parses it, and every later request
-  with the same bytes — later in the same batch or in any later batch
-  — finds the cached document.  See the class docstring for the
-  invalidation contract;
+* **parse caching** — a :class:`ParseCache` (content-hash-keyed LRU
+  bounded by estimated document bytes) is the one way requests share
+  a parse: the first request carrying a page's bytes parses it, and
+  every later request with the same bytes — later in the same batch or
+  in any later batch — finds the cached document.  See the class
+  docstring for the invalidation contract;
 * **execution** — each request is one page entry for the per-page
   kernel (:func:`~repro.runtime.extractor.extract_pages`, which
   isolates failures per wrapper: a malformed query fails only the
@@ -68,16 +68,28 @@ class ParseCacheInfo:
     capacity_bytes: int
 
 
+#: What a cached document is charged: its estimated memory once parsed,
+#: indexed and extracted from.  Measured with tracemalloc over the 317
+#: pages of the lifecycle benchmark's serve-repeat workload (59-1,199
+#: nodes each; 1.32 MB of HTML held 37.7 MB): a least-squares fit gives
+#: 575 B per index node plus 1.8 KB per document.  A 5-node page holds
+#: 3.9 KB, 90x its HTML, so HTML bytes are no proxy for the footprint.
+_BYTES_PER_NODE = 576
+_BYTES_PER_DOCUMENT = 1800
+
+
 class ParseCache:
-    """Content-hash-keyed LRU of parsed documents, byte-budget bounded.
+    """Content-hash-keyed LRU of parsed documents, bounded by their
+    estimated memory.
 
     Keys are SHA-1 of the page's HTML bytes — *content identity*, not
     page id — so a mutated page (a re-render, a drifted template) can
     never be served a stale document: different bytes simply miss.
-    The budget counts the HTML byte size of the cached pages (the
-    portable proxy for the parsed tree's footprint); inserting past it
-    evicts least-recently-used entries, and a single page larger than
-    the whole budget is served uncached.
+    Each entry is charged its estimated memory, 1.8 KB plus 576 B per
+    node of its document index (built by then: the kernel inserts a
+    page after extracting from it), and ``capacity_bytes`` caps the
+    sum; inserting past it evicts least-recently-used entries, and a
+    single page larger than the whole budget is served uncached.
 
     Invalidation contract (extends the ``DocumentIndex`` memo contract
     in docs/PERFORMANCE.md): document-owned memos — the index itself,
@@ -108,12 +120,11 @@ class ParseCache:
         self.evictions = 0
 
     @staticmethod
-    def _key(html: str) -> tuple[bytes, int]:
-        raw = html.encode("utf-8", "surrogatepass")
-        return hashlib.sha1(raw).digest(), len(raw)
+    def _key(html: str) -> bytes:
+        return hashlib.sha1(html.encode("utf-8", "surrogatepass")).digest()
 
     def get(self, html: str) -> Optional[Document]:
-        key, _ = self._key(html)
+        key = self._key(html)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -125,9 +136,10 @@ class ParseCache:
 
     def put(self, html: str, doc: Document) -> int:
         """Insert a parsed page; returns how many entries were evicted."""
-        key, size = self._key(html)
+        size = _BYTES_PER_DOCUMENT + _BYTES_PER_NODE * len(doc.index.nodes)
         if size > self.capacity_bytes:
             return 0
+        key = self._key(html)
         evicted = 0
         with self._lock:
             if key in self._entries:
@@ -168,12 +180,14 @@ class ServingConfig:
 
     ``max_pending`` bounds the admission queue — when full,
     ``extract_info()`` awaits instead of buffering without limit.
-    ``parse_cache_bytes`` is the byte budget of the :class:`ParseCache`
-    (0 disables it, and then every request parses its page).
+    ``parse_cache_bytes`` is the budget of the :class:`ParseCache` in
+    estimated document bytes (0 disables it, and then every request
+    parses its page); the default holds the lifecycle benchmark's
+    serve-repeat page set (37.7 MB) whole.
     """
 
     max_pending: int = 64
-    parse_cache_bytes: int = 16 * 1024 * 1024
+    parse_cache_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:

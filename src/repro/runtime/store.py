@@ -29,7 +29,9 @@ key never share a temp file.  Temp names do not match the
 ``*.json`` pattern ``scan()``/``get()`` read.  Reads go through a small
 in-process LRU keyed by file mtime, so repeated ``get()``s of a hot
 wrapper skip JSON parsing + query validation while an out-of-band
-``put`` from another process still invalidates naturally.
+``put`` from another process still invalidates naturally.  One lock
+guards the LRU's entries and counters (threads of one serving process
+read and write it), never the file reads and writes around it.
 
 Drift telemetry lives next to the artifacts: per-wrapper
 :class:`~repro.runtime.drift.DriftReport` streams append to
@@ -43,6 +45,7 @@ import json
 import os
 import pathlib
 import secrets
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -174,6 +177,9 @@ class ShardedArtifactStore:
             raise StoreError("cache_size must be >= 0")
         self.cache_size = cache_size
         self._cache: OrderedDict[str, tuple[int, WrapperArtifact]] = OrderedDict()
+        # Guards the LRU and its counters, not the disk work: a serving
+        # host reads from executor threads while its induce pool writes.
+        self._lock = threading.Lock()
         self._hits = self._misses = self._evictions = 0
 
     @staticmethod
@@ -235,20 +241,23 @@ class ShardedArtifactStore:
         try:
             mtime = os.stat(path).st_mtime_ns
         except FileNotFoundError:
-            self._cache.pop(task_id, None)
+            with self._lock:
+                self._cache.pop(task_id, None)
             raise KeyError(task_id) from None
-        cached = self._cache.get(task_id)
-        if cached is not None and cached[0] == mtime:
-            self._hits += 1
-            self._cache.move_to_end(task_id)
-            return cached[1]
-        self._misses += 1
+        with self._lock:
+            cached = self._cache.get(task_id)
+            if cached is not None and cached[0] == mtime:
+                self._hits += 1
+                self._cache.move_to_end(task_id)
+                return cached[1]
+            self._misses += 1
         artifact = WrapperArtifact.loads(path.read_text(encoding="utf-8"))
         self._remember(task_id, artifact, mtime)
         return artifact
 
     def remove(self, task_id: str) -> None:
-        self._cache.pop(task_id, None)
+        with self._lock:
+            self._cache.pop(task_id, None)
         try:
             os.unlink(self.path_of(task_id))
         except FileNotFoundError:
@@ -257,20 +266,22 @@ class ShardedArtifactStore:
     def _remember(self, task_id: str, artifact: WrapperArtifact, mtime: int) -> None:
         if self.cache_size == 0:
             return
-        self._cache[task_id] = (mtime, artifact)
-        self._cache.move_to_end(task_id)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-            self._evictions += 1
+        with self._lock:
+            self._cache[task_id] = (mtime, artifact)
+            self._cache.move_to_end(task_id)
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+                self._evictions += 1
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._cache),
-            capacity=self.cache_size,
-        )
+        with self._lock:
+            return CacheInfo(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._cache),
+                capacity=self.cache_size,
+            )
 
     # -- enumeration --------------------------------------------------------
 

@@ -18,27 +18,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.cluster.placement import ClusterMap, replica_indexes
+from repro.cluster.placement import ClusterMap
 from tests.serving_utils import spawn_listen, terminate
-
-
-def replica_union_shards(index: int, n_hosts: int, n_shards: int, replication: int = 2):
-    """The shards host ``index`` must own in a replicated topology:
-    its primaries plus every shard it seconds."""
-    return [
-        shard
-        for shard in range(n_shards)
-        if index in replica_indexes(shard, n_hosts, replication)
-    ]
-
-
-def replica_union_arg(index: int, n_hosts: int, n_shards: int, replication: int = 2) -> str:
-    """``--own-shards`` value for host ``index`` (see
-    :func:`replica_union_shards`)."""
-    return ",".join(
-        str(shard)
-        for shard in replica_union_shards(index, n_hosts, n_shards, replication)
-    )
 
 
 @dataclass
@@ -87,21 +68,21 @@ def spawn_replicated(
     n_shards: int = 8,
     *,
     store_root=None,
-    replication: int = 2,
     deadline_s: float = 60.0,
 ) -> FaultCluster:
     """``n_hosts`` live hosts with replica-union shard ownership.
 
     With ``store_root`` the hosts serve one shared store (and advertise
     its recorded epoch); without, each host runs an in-memory registry
-    at ``n_shards``.  Host order defines replica order: host ``i`` is
-    the primary of shards ``s`` with ``s % n_hosts == i`` and seconds
-    its ring predecessor's, matching ``ClusterMap.replica_hosts``.
+    at ``n_shards``.  Host order defines replica order, so the launch
+    groups come from a map of placeholder addresses in that order: the
+    ports are only known once each host is up.
     """
+    layout = ClusterMap(tuple(f"host-{i}:{i}" for i in range(n_hosts)), n_shards)
     procs, hosts = [], []
     try:
-        for index in range(n_hosts):
-            args = ["--own-shards", replica_union_arg(index, n_hosts, n_shards, replication)]
+        for placeholder in layout.hosts:
+            args = ["--own-shards", layout.replica_own_shards_arg(placeholder)]
             if store_root is not None:
                 args += ["--artifacts", str(store_root)]
             else:
@@ -133,7 +114,5 @@ def env_telemetry_sink() -> Optional[Callable[[dict], None]]:
 __all__ = [
     "FaultCluster",
     "env_telemetry_sink",
-    "replica_union_arg",
-    "replica_union_shards",
     "spawn_replicated",
 ]

@@ -80,7 +80,7 @@ class TestKillMidBatch:
         items = [(EVEN_KEY, PRICE_V1), (ODD_KEY, PRICE_V1)] * 30
         expected = [seed.extract(key, page).to_payload() for key, page in items]
         with make_router(cluster) as router:
-            victim = router.host_of(EVEN_KEY)
+            victim = router.replica_hosts(EVEN_KEY)[0]
             killer = cluster.kill_after(victim, delay_s=0.15)
             try:
                 results = router.extract_many(items, return_errors=True)
@@ -93,7 +93,7 @@ class TestKillMidBatch:
     def test_single_verb_fails_over_to_the_replica(self, seeded_cluster):
         cluster, _ = seeded_cluster
         with make_router(cluster) as router:
-            victim = cluster.kill(router.host_of(EVEN_KEY))
+            victim = cluster.kill(router.replica_hosts(EVEN_KEY)[0])
             result = router.extract(EVEN_KEY, PRICE_V1)
             assert result.values == ("10",)
             failovers = [
@@ -144,7 +144,7 @@ class TestCircuitBreaker:
         monkeypatch.setattr(router_module, "_BREAKER_RESET_S", 60.0)
         cluster, _ = seeded_cluster
         with make_router(cluster) as router:
-            victim = cluster.kill(router.host_of(EVEN_KEY))
+            victim = cluster.kill(router.replica_hosts(EVEN_KEY)[0])
             for _ in range(3):
                 assert router.extract(EVEN_KEY, PRICE_V1).values == ("10",)
             opened = [

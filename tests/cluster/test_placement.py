@@ -20,6 +20,7 @@ from repro.cluster.placement import (
     ShardOwnership,
     qualify_key,
     replica_indexes,
+    ring_indexes,
     shard_index,
     shard_of_task,
     site_key_of,
@@ -150,7 +151,7 @@ class TestShardOwnership:
             assert own.owns_task(task) == (shard_of_task(task, 8) in own.owned)
 
     def test_all_shards(self):
-        assert ShardOwnership.all_shards(4).is_total
+        assert ShardOwnership.parse("0,1,2,3", 4).is_total
 
     def test_validation(self):
         with pytest.raises(PlacementError):
@@ -160,34 +161,49 @@ class TestShardOwnership:
         with pytest.raises(PlacementError):
             ShardOwnership.parse("a,b", 8)  # not integers
 
+    def test_healthz_payload_round_trips(self):
+        own = ShardOwnership.parse("0,2,5", 8)
+        assert ShardOwnership.from_payload(own.as_payload(), 4) == own
+        # A host launched without --own-shards advertises no block.
+        assert ShardOwnership.from_payload(None, 8).is_total
+        for payload in ({"owned": [0]}, {"n_shards": 8}, {"n_shards": 8, "owned": ["x"]}):
+            with pytest.raises(PlacementError):
+                ShardOwnership.from_payload(payload, 8)
+
 
 class TestClusterMap:
     def test_assignment_partitions_all_shards(self):
+        # Every shard has exactly one primary, and launch groups cover
+        # every shard (each REPLICATION_FACTOR times, see below).
         cmap = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
-        groups = cmap.assignments()
-        seen = sorted(s for group in groups.values() for s in group)
-        assert seen == list(range(8))  # disjoint and complete
+        groups = [cmap.replica_shards_of(host) for host in cmap.hosts]
+        assert sorted(set(s for group in groups for s in group)) == list(range(8))
+        primaries = [replica_indexes(shard, 3)[0] for shard in range(8)]
+        assert primaries == [shard % 3 for shard in range(8)]
 
     def test_host_of_agrees_with_ownership(self):
         cmap = ClusterMap(("h0:1", "h1:2"), n_shards=8)
         for task in ("movies-0/director", "shop-1/title", "acme::shop-0/price"):
-            host = cmap.host_of(task)
-            assert cmap.ownership_of(host).owns_task(task)
+            for host in cmap.replica_hosts(task):
+                assert cmap.replica_ownership_of(host).owns_task(task)
 
     def test_ownership_round_trips_through_cli_arg(self):
-        cmap = ClusterMap(("h0:1", "h1:2"), n_shards=8)
+        cmap = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
         for host in cmap.hosts:
-            arg = cmap.own_shards_arg(host)
-            assert ShardOwnership.parse(arg, 8) == cmap.ownership_of(host)
+            arg = cmap.replica_own_shards_arg(host)
+            assert ShardOwnership.parse(arg, 8) == cmap.replica_ownership_of(host)
 
     def test_assignment_is_pure_in_host_order(self):
-        a = ClusterMap(("h0:1", "h1:2"), n_shards=8)
-        b = ClusterMap(("h0:1", "h1:2"), n_shards=8)
-        assert a.assignments() == b.assignments()
+        a = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
+        b = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
+        assert [a.replica_shards_of(h) for h in a.hosts] == [
+            b.replica_shards_of(h) for h in b.hosts
+        ]
 
     def test_more_hosts_than_shards_leaves_spares_idle(self):
-        cmap = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=2)
-        assert cmap.shards_of("h2:3") == ()
+        # 2 shards x 2 replicas fill hosts 0-2; host 3 has nothing to own.
+        cmap = ClusterMap(("h0:1", "h1:2", "h2:3", "h3:4"), n_shards=2)
+        assert cmap.replica_shards_of("h3:4") == ()
 
     def test_validation(self):
         with pytest.raises(PlacementError):
@@ -199,16 +215,49 @@ class TestClusterMap:
 
     def test_unknown_host_is_a_typed_error(self):
         cmap = ClusterMap(("h0:1", "h1:2"), n_shards=8)
-        for call in (cmap.shards_of, cmap.ownership_of, cmap.own_shards_arg):
+        for call in (
+            cmap.replica_shards_of,
+            cmap.replica_ownership_of,
+            cmap.replica_own_shards_arg,
+        ):
             with pytest.raises(PlacementError, match="not in the cluster map"):
                 call("typo:9")
+
+    def test_primary_only_api_is_gone(self):
+        cmap = ClusterMap(("h0:1", "h1:2"), n_shards=8)
+        for name in (
+            "owner_index_of_shard",
+            "host_of_shard",
+            "host_of",
+            "shards_of",
+            "ownership_of",
+            "assignments",
+            "own_shards_arg",
+            "replica_indexes_of_shard",
+            "replica_hosts_of_shard",
+            "advanced",
+        ):
+            with pytest.raises(AttributeError):
+                getattr(cmap, name)
+        with pytest.raises(AttributeError):
+            ShardOwnership.all_shards
+        from repro.cluster.router import RouterClient
+
+        # The primary is replica_hosts(key)[0].
+        assert not hasattr(RouterClient, "host_of")
 
 
 class TestReplicaPlacement:
     def test_replica_indexes_are_primary_plus_ring_successors(self):
         assert replica_indexes(0, 3) == (0, 1)
         assert replica_indexes(5, 3) == (2, 0)  # wraps the ring
-        assert replica_indexes(4, 3, replication=3) == (1, 2, 0)
+        assert ring_indexes(4, 3) == (1, 2, 0)
+        for n_hosts in (1, 2, 3, 5):
+            for shard in range(16):
+                ring = ring_indexes(shard, n_hosts)
+                assert sorted(ring) == list(range(n_hosts))  # every host once
+                assert ring[0] == shard % n_hosts  # primary first
+                assert replica_indexes(shard, n_hosts) == ring[:REPLICATION_FACTOR]
 
     def test_secondary_is_never_the_primary_host(self):
         for n_hosts in (2, 3, 5):
@@ -218,20 +267,20 @@ class TestReplicaPlacement:
 
     def test_replication_caps_at_host_count(self):
         assert replica_indexes(3, 1) == (0,)  # one host: no second copy
-        assert replica_indexes(3, 2, replication=5) == (1, 0)
+        assert len(replica_indexes(3, 2)) == REPLICATION_FACTOR == 2
 
     def test_validation(self):
         with pytest.raises(PlacementError):
             replica_indexes(0, 0)
         with pytest.raises(PlacementError):
-            replica_indexes(0, 3, replication=0)
+            ring_indexes(0, 0)
 
     def test_cluster_map_replica_hosts_follow_indexes(self):
         cmap = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
         for task in ("movies-0/director", "shop-1/title", "acme::shop-0/price"):
             shard = cmap.shard_of(task)
             replicas = cmap.replica_hosts(task)
-            assert replicas[0] == cmap.host_of(task)  # primary first
+            assert replicas[0] == cmap.hosts[shard % 3]  # primary first
             assert replicas == tuple(
                 cmap.hosts[i] for i in replica_indexes(shard, 3)
             )
@@ -240,12 +289,13 @@ class TestReplicaPlacement:
         """A replicated host must be launched owning its primary shards
         PLUS every shard it seconds — otherwise it 421s replica traffic."""
         cmap = ClusterMap(("h0:1", "h1:2", "h2:3"), n_shards=8)
-        for host in cmap.hosts:
+        for index, host in enumerate(cmap.hosts):
             union = cmap.replica_ownership_of(host)
-            assert set(cmap.shards_of(host)) <= set(union.owned)
+            primaries = {s for s in range(8) if s % 3 == index}
+            assert primaries <= set(union.owned)
             assert set(union.owned) == set(cmap.replica_shards_of(host))
         # Every shard is seconded somewhere: union groups cover each
-        # shard exactly `replication` times.
+        # shard exactly REPLICATION_FACTOR times.
         coverage = [0] * 8
         for host in cmap.hosts:
             for shard in cmap.replica_shards_of(host):
@@ -258,11 +308,3 @@ class TestReplicaPlacement:
         assert cmap.epoch == 3
         with pytest.raises(PlacementError):
             ClusterMap(("h0:1",), 8, epoch=-1)
-
-    def test_advanced_bumps_the_epoch_and_may_reshape(self):
-        cmap = ClusterMap(("h0:1", "h1:2"), 8, epoch=1)
-        regrown = cmap.advanced(n_shards=16)
-        assert regrown.epoch == 2
-        assert regrown.n_shards == 16
-        assert regrown.hosts == cmap.hosts
-        assert cmap.advanced().epoch == 2  # same shape, next generation

@@ -270,6 +270,31 @@ class TestReplicaWalk:
             assert router.epoch == 1
 
 
+class _OwnerHost(_EchoHost):
+    """A live host at epoch 1 advertising the shards it owns."""
+
+    def __init__(self, owned):
+        self.owned = owned
+
+    def healthz(self):
+        return {"ok": True, "epoch": 1, "shards": {"n_shards": 8, "owned": self.owned}}
+
+
+class TestRefreshedOverlay:
+    def test_overlay_owners_are_walked_in_ring_order(self):
+        hosts = ("127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3")
+        with RouterClient(ClusterMap(hosts, 8)) as router:
+            every = list(range(8))
+            no_seven = [s for s in every if s != 7]
+            for host, owned in zip(hosts, (every, no_seven, every)):
+                router._clients[host] = _OwnerHost(owned)
+            assert router.refresh_map() == 1
+            # shard 6: ring from host 6 % 3 = 0; all three own it.
+            assert router.replica_hosts(EVEN_KEY) == list(hosts)
+            # shard 7: ring from host 1, which no longer owns it.
+            assert router.replica_hosts(ODD_KEY) == [hosts[2], hosts[0]]
+
+
 class TestSharedStoreCluster:
     def test_hosts_sharing_one_store_list_only_owned_shards(self, tmp_path):
         """The documented deployment: N hosts over ONE store, disjoint
@@ -428,7 +453,7 @@ class TestTenantIsolation:
         assert local.extract_many([(EVEN_KEY, PRICE_V1)])[0].values == ("10",)
         with RouterClient(ClusterMap(cluster_hosts, 8)) as router:
             router.induce(EVEN_KEY, [price_sample()])
-            with RemoteWrapperClient(router.host_of(EVEN_KEY)) as remote:
+            with RemoteWrapperClient(router.replica_hosts(EVEN_KEY)[0]) as remote:
                 for client in (remote, router):
                     results = client.extract_many(
                         [(EVEN_KEY, PRICE_V1)], return_errors=True

@@ -54,9 +54,7 @@ def build_golden() -> dict:
             shard = shard_index(site_id, n_shards)
             placed[site_id] = {
                 "shard": shard,
-                "replicas": list(
-                    replica_indexes(shard, n_hosts, REPLICATION_FACTOR)
-                ),
+                "replicas": list(replica_indexes(shard, n_hosts)),
             }
         epochs[str(epoch)] = {
             "n_shards": n_shards,

@@ -188,6 +188,17 @@ class TestNetMetrics:
         assert acme == {"requests": 7, "errors": 5, "rate_limited": 1}
         assert payload["tenant_state"]["cap"] == DEFAULT_MAX_TENANTS
 
+    def test_rejection_counters_read_zero_before_any_rejection(self):
+        metrics = NetMetrics()
+        metrics.observe("acme", 200)
+        payload = metrics.as_payload()
+        assert payload["auth"] == {
+            "unauthorized_401": 0,
+            "forbidden_403": 0,
+            "rate_limited_429": 0,
+        }
+        assert payload["rejected_unowned_421"] == 0
+
     def test_per_tenant_map_is_lru_bounded(self):
         metrics = NetMetrics(max_tenants=32)
         for i in range(10_000):

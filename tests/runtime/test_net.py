@@ -531,6 +531,43 @@ class TestAuth:
 
         run(go())
 
+    def test_keyed_gates_answer_422_403_429_421_in_order(self):
+        """A keyed request is qualified into the server's namespace once,
+        then gated: malformed key, wrong tenant, quota, shard owner."""
+        from repro.cluster.placement import ShardOwnership, shard_of_task
+        from repro.runtime.auth import QuotaConfig
+
+        key = "shop/name"
+        unowned = ShardOwnership.parse(
+            str((shard_of_task(f"acme::{key}", 8) + 1) % 8), 8
+        )
+        config = _keyed_config(quota=QuotaConfig(rate=0.001, burst=1))
+
+        def fetch(site_key, api_key):
+            quoted = site_key.replace("/", "%2F")
+            return get(f"/wrappers/{quoted}", {"Authorization": f"Bearer {api_key}"})
+
+        async def go():
+            server = WrapperHTTPServer(
+                WrapperClient(tenant="acme"), config, ownership=unowned
+            )
+            async with server:
+                host, port = server.address
+                answers = [
+                    await raw_request(host, port, request)
+                    for request in (
+                        fetch(f"globex::{key}", "k-open-cccccccc"),  # cross-tenant
+                        fetch(key, "k-open-cccccccc"),  # qualifies into acme
+                        fetch(key, "k-acme-bbbbbbbb"),  # the one token, then 421
+                        fetch(key, "k-acme-bbbbbbbb"),  # the bucket is dry
+                    )
+                ]
+            return [(status, body.get("code")) for status, _, body in answers]
+
+        statuses = run(go())
+        assert [status for status, _ in statuses] == [422, 403, 421, 429]
+        assert statuses[2][1] == "shard_not_owned"
+
     def test_matching_and_admin_keys_pass(self):
         async def go():
             async with WrapperHTTPServer(deployed_client(), _keyed_config()) as server:

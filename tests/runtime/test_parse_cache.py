@@ -35,6 +35,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def charge(html: str) -> int:
+    """What the cache charges for one parsed page."""
+    cache = ParseCache(capacity_bytes=1 << 30)
+    cache.put(html, _parse(html))
+    return cache.info().bytes
+
+
 class TestParseCacheUnit:
     def test_identical_html_hits_mutated_html_misses(self):
         cache = ParseCache(capacity_bytes=1 << 20)
@@ -50,7 +57,7 @@ class TestParseCacheUnit:
 
     def test_eviction_under_byte_budget_is_lru(self):
         pages = [f"<html><body><p>page {i:04d}</p></body></html>" for i in range(4)]
-        size = len(pages[0].encode())
+        size = charge(pages[0])  # the pages share one shape, so one charge
         cache = ParseCache(capacity_bytes=3 * size)
         for page in pages[:3]:
             assert cache.put(page, _parse(page)) == 0  # fits
@@ -69,6 +76,21 @@ class TestParseCacheUnit:
         cache = ParseCache(capacity_bytes=16)
         assert cache.put(PAGE_A, _parse(PAGE_A)) == 0
         assert cache.info().entries == 0
+
+    def test_many_tiny_pages_stay_within_the_budget(self):
+        """The budget bounds what the cache holds, not its pages' HTML:
+        a cached ``<p>n</p>`` page holds about 2.9 KB (tracemalloc,
+        parsed and indexed), some 300x its HTML."""
+        budget = 256 * 1024
+        cache = ParseCache(capacity_bytes=budget)
+        for i in range(20_000):
+            page = f"<p>{i}</p>"
+            cache.put(page, _parse(page))
+        info = cache.info()
+        assert info.bytes <= budget
+        # Charged under 2.5 KB, an entry would cost more than it says.
+        assert info.entries * 2_500 <= info.bytes
+        assert info.evictions == 20_000 - info.entries
 
     def test_clear_resets_entries_and_bytes(self):
         cache = ParseCache(capacity_bytes=1 << 20)
@@ -128,7 +150,7 @@ class TestServingIntegration:
             f"<html><body><p itemprop='name'>page {i:06d}</p></body></html>" * 40
             for i in range(4)
         ]
-        budget = 2 * len(pages[0].encode()) + 1
+        budget = 2 * charge(pages[0]) + 1
         requests = [job(f"site-{i}@0", page, ("t", TITLE)) for i, page in enumerate(pages)]
         _, stats = serve_jobs_sync(
             requests,

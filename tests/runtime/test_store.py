@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -264,6 +265,88 @@ class TestThreadedWriters:
         assert torn == []
         assert list(store.root.rglob("*.tmp-*")) == []
         assert store.get(artifact.task_id) == artifact
+
+    def test_reader_and_evicting_writer_share_the_lru_safely(self, tmp_path, artifacts):
+        """A get() parked between its cache lookup and move_to_end while
+        another thread's put() evicts that entry must still answer."""
+        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4, cache_size=1)
+        first, second = artifacts[0], artifacts[1]
+        store.put(first)
+        looked_up, resume = threading.Event(), threading.Event()
+        reader_ident = []
+
+        class ParkingDict(OrderedDict):
+            def get(self, key, default=None):
+                entry = super().get(key, default)
+                if threading.get_ident() in reader_ident and not looked_up.is_set():
+                    looked_up.set()
+                    resume.wait(timeout=30)
+                return entry
+
+            def popitem(self, last=True):
+                item = super().popitem(last)
+                resume.set()  # the reader may go on only after an eviction
+                return item
+
+        store._cache = ParkingDict(store._cache)
+        answers = []
+
+        def read():
+            reader_ident.append(threading.get_ident())
+            try:
+                answers.append(store.get(first.task_id))
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                answers.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert looked_up.wait(timeout=30)
+        writer = threading.Thread(target=store.put, args=(second,))
+        writer.start()
+        # A writer that cannot evict while the reader is parked (the LRU
+        # is locked) is released by letting the reader finish first.
+        writer.join(timeout=1.0)
+        resume.set()
+        reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not reader.is_alive() and not writer.is_alive()
+        (answer,) = answers
+        if isinstance(answer, BaseException):
+            raise answer
+        assert answer == first
+        assert store.cache_info().size == 1
+
+    def test_lru_counters_survive_threads_sharing_a_small_cache(self, tmp_path, artifacts):
+        """More threads than cores, a short switch interval, a cache one
+        entry too small: no get fails and no hit or miss is lost."""
+        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4, cache_size=2)
+        for artifact in artifacts[:3]:
+            store.put(artifact)
+        gets_per_thread, errors = 100, []
+
+        def hammer(offset):
+            try:
+                for i in range(gets_per_thread):
+                    artifact = artifacts[(offset + i) % 3]
+                    assert store.get(artifact.task_id) == artifact
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = store.cache_info()
+        assert info.hits + info.misses == 6 * gets_per_thread
+        assert info.size <= 2
 
     def test_put_leaves_another_writers_temp_file_alone(self, store, artifacts):
         path = store.path_of(artifacts[0].task_id)
