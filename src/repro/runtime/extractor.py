@@ -126,14 +126,15 @@ def extract_pages(
     stats = {"parsed": 0, "cache_hits": 0, "cache_evictions": 0}
     for page_id, html, wrappers in pages:
         doc = cache.get(html) if cache is not None else None
-        parsed = doc is None
-        if parsed:
+        if doc is None:
             try:
                 doc = parse_html(html)
             except Exception as exc:  # noqa: BLE001 - reported per page
                 out.append(exc)
                 continue
             stats["parsed"] += 1
+            if cache is not None:
+                stats["cache_evictions"] += cache.put(html, doc)
         else:
             stats["cache_hits"] += 1
         slots: list[Union[ExtractionRecord, Exception]] = []
@@ -143,9 +144,6 @@ def extract_pages(
             except Exception as exc:  # noqa: BLE001 - reported per wrapper
                 slots.append(exc)
         out.append(slots)
-        if parsed and cache is not None:
-            # After extraction, which built the index the cache charges.
-            stats["cache_evictions"] += cache.put(html, doc)
     return out, stats
 
 

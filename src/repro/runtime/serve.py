@@ -68,14 +68,17 @@ class ParseCacheInfo:
     capacity_bytes: int
 
 
-#: What a cached document is charged: its estimated memory once parsed,
-#: indexed and extracted from.  Measured with tracemalloc over the 317
-#: pages of the lifecycle benchmark's serve-repeat workload (59-1,199
-#: nodes each; 1.32 MB of HTML held 37.7 MB): a least-squares fit gives
-#: 575 B per index node plus 1.8 KB per document.  A 5-node page holds
-#: 3.9 KB, 90x its HTML, so HTML bytes are no proxy for the footprint.
-_BYTES_PER_NODE = 576
-_BYTES_PER_DOCUMENT = 1800
+#: What a cached document is charged beyond its HTML bytes: its
+#: estimated memory once parsed, indexed and extracted from.  Measured
+#: with tracemalloc over the 317 pages of the lifecycle benchmark's
+#: serve-repeat workload (59-1,199 nodes each; 1.32 MB of HTML held
+#: 37.7 MB): memory less HTML bytes fits 555 B per index node plus
+#: 1.86 KB per document.  The HTML term covers text and attribute
+#: values, which a node count misses (1 MB of text is one node); the
+#: node terms cover the tree, which HTML bytes miss (a 3-node page of
+#: 8 bytes holds 2.7 KB).
+_BYTES_PER_NODE = 555
+_BYTES_PER_DOCUMENT = 1860
 
 
 class ParseCache:
@@ -85,11 +88,11 @@ class ParseCache:
     Keys are SHA-1 of the page's HTML bytes — *content identity*, not
     page id — so a mutated page (a re-render, a drifted template) can
     never be served a stale document: different bytes simply miss.
-    Each entry is charged its estimated memory, 1.8 KB plus 576 B per
-    node of its document index (built by then: the kernel inserts a
-    page after extracting from it), and ``capacity_bytes`` caps the
-    sum; inserting past it evicts least-recently-used entries, and a
-    single page larger than the whole budget is served uncached.
+    Each entry is charged its estimated memory — its HTML bytes plus
+    1.86 KB plus 555 B per node of its document index — and
+    ``capacity_bytes`` caps the sum; inserting past it evicts
+    least-recently-used entries, and a single page larger than the
+    whole budget is served uncached.
 
     Invalidation contract (extends the ``DocumentIndex`` memo contract
     in docs/PERFORMANCE.md): document-owned memos — the index itself,
@@ -120,11 +123,12 @@ class ParseCache:
         self.evictions = 0
 
     @staticmethod
-    def _key(html: str) -> bytes:
-        return hashlib.sha1(html.encode("utf-8", "surrogatepass")).digest()
+    def _key(html: str) -> tuple[bytes, int]:
+        raw = html.encode("utf-8", "surrogatepass")
+        return hashlib.sha1(raw).digest(), len(raw)
 
     def get(self, html: str) -> Optional[Document]:
-        key = self._key(html)
+        key, _ = self._key(html)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -136,10 +140,10 @@ class ParseCache:
 
     def put(self, html: str, doc: Document) -> int:
         """Insert a parsed page; returns how many entries were evicted."""
-        size = _BYTES_PER_DOCUMENT + _BYTES_PER_NODE * len(doc.index.nodes)
+        key, size = self._key(html)
+        size += _BYTES_PER_DOCUMENT + _BYTES_PER_NODE * len(doc.index.nodes)
         if size > self.capacity_bytes:
             return 0
-        key = self._key(html)
         evicted = 0
         with self._lock:
             if key in self._entries:

@@ -77,6 +77,23 @@ class TestParseCacheUnit:
         assert cache.put(PAGE_A, _parse(PAGE_A)) == 0
         assert cache.info().entries == 0
 
+    def test_text_heavy_pages_are_charged_at_least_their_html(self):
+        """A run of text is one node however long, so the charge counts
+        the page's HTML bytes too: 100 KB of text holds about 100 KB."""
+        budget = 256 * 1024
+        pages = [f"<p>{i}{'x' * 100_000}</p>" for i in range(5)]
+        cache = ParseCache(capacity_bytes=budget)
+        for page in pages:
+            cache.put(page, _parse(page))
+        info = cache.info()
+        assert info.entries == 2
+        assert sum(map(len, pages[-2:])) <= info.bytes <= budget
+        # One such page larger than the whole budget stays uncached.
+        huge = "<p>" + "y" * budget + "</p>"
+        assert cache.put(huge, _parse(huge)) == 0
+        assert cache.get(huge) is None
+        assert cache.info().entries == 2
+
     def test_many_tiny_pages_stay_within_the_budget(self):
         """The budget bounds what the cache holds, not its pages' HTML:
         a cached ``<p>n</p>`` page holds about 2.9 KB (tracemalloc,
