@@ -256,30 +256,29 @@ class WrapperClient:
         :class:`~repro.induction.samples.QuerySample` accepted).  Record
         mode requires exactly one sample carrying ``fields``.
 
-        ``options`` tunes the induction fast path without constructing a
-        config: ``search="pruned"`` (stochastic beam instead of the
-        exhaustive DP), ``beam_width``/``prune_trials``/``prune_seed``,
-        and ``diversity`` (fragile-feature-penalized ensemble
-        selection).  Unknown keys raise :class:`FacadeError`, as do a
-        ``k``, ``ensemble_size`` or ``max_queries`` that is not an
-        integer >= 1.
+        ``options`` tunes induction without constructing a config:
+        ``search="pruned"`` (stochastic beam instead of the exhaustive
+        DP) and ``diversity`` (fragile-feature-penalized ensemble
+        selection).  Unknown keys raise :class:`FacadeError`, as do an
+        invalid option value, a ``k`` outside 1 to
+        :data:`~repro.induction.config.MAX_K`, and an ``ensemble_size``
+        or ``max_queries`` that is not an integer >= 1.
         """
         if mode not in ("node", "record", "ensemble"):
             raise FacadeError(f"unknown induction mode {mode!r}")
         for name, value in (
-            ("k", k),
             ("ensemble_size", ensemble_size),
             ("max_queries", max_queries),
         ):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise FacadeError(f"{name} must be an integer >= 1, got {value!r}")
         site_key = self._qualify(site_key)
-        config = config or InductionConfig(k=k)
-        if options:
-            try:
-                config = config_with_options(config, dict(options))
-            except (TypeError, ValueError) as exc:
-                raise FacadeError(str(exc)) from exc
+        try:
+            config = config_with_options(
+                config or InductionConfig(k=k), dict(options or {})
+            )
+        except (TypeError, ValueError) as exc:
+            raise FacadeError(str(exc)) from exc
         facade_samples = coerce_samples(samples)
         meta: dict = {"mode": mode}
         try:

@@ -44,9 +44,9 @@ from repro.cluster.placement import (
 from repro.dom.node import Document
 from repro.dom.serialize import to_html
 from repro.induction.samples import QuerySample
+from repro.api import results as protocol
 from repro.api.results import (
     MAX_BATCH_ITEMS,
-    MAX_BODY_BYTES,
     CheckResult,
     ExtractionResult,
     FacadeError,
@@ -79,10 +79,11 @@ def _as_html(page: Page) -> str:
 
 def _pack(indexes: list[int], sizes: dict[int, int]):
     """Greedy runs of ``indexes`` of at most :data:`MAX_BATCH_ITEMS`
-    whose ``/extract_many`` body stays within :data:`MAX_BODY_BYTES`
-    (``sizes`` holds each item's encoded length); an item over the
-    limit on its own rides alone."""
-    budget = MAX_BODY_BYTES - len(json.dumps({"items": []}))
+    whose ``/extract_many`` body stays within the server's limit,
+    :data:`~repro.api.results.MAX_BODY_BYTES` (``sizes`` holds each
+    item's encoded length); an item over the limit on its own rides
+    alone."""
+    budget = protocol.MAX_BODY_BYTES - len(json.dumps({"items": []}))
     chunk: list[int] = []
     size = 0
     for index in indexes:

@@ -46,10 +46,10 @@ FACADE_KEY = "facade"
 #: Wrapper id of the top-ranked query in extraction batches.
 BEST_ID = "best"
 
-#: Largest request body the network server accepts by default
-#: (``NetConfig.max_body_bytes``), and the budget
+#: Largest request body the network server accepts, and the budget
 #: ``RemoteWrapperClient.extract_many`` packs each ``/extract_many``
-#: request under.
+#: request under.  Both read it at call time, so a test patches this
+#: one name.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Most items one ``/extract_many`` request may carry: the network

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.dom.node import Document, Node, TextNode
+from repro.induction.config import VOLATILE_KEY
 from repro.induction.relative import RecordExample
 from repro.induction.samples import QuerySample
 from repro.runtime.artifact import StoredSample, resolve_path
@@ -22,27 +23,27 @@ from repro.api.results import FacadeError
 from repro.xpath.canonical import canonical_path
 
 
-def mark_volatile(*nodes, key: str = "volatile") -> None:
+def mark_volatile(*nodes) -> None:
     """Mark text under ``nodes`` as volatile page *data*.
 
     The induction protocol (Sec. 6.2) never anchors wrappers on data
     values — only on template structure — but it learns which text is
-    data from the ``meta[key]`` mark.  Accepts any mix of nodes,
-    documents, and iterables of either; every :class:`TextNode` at or
-    below each argument is marked.
+    data from the ``meta[VOLATILE_KEY]`` mark.  Accepts any mix of
+    nodes, documents, and iterables of either; every :class:`TextNode`
+    at or below each argument is marked.
     """
     for item in nodes:
         if isinstance(item, Document):
             for text in item.index.texts:
-                text.meta[key] = True
+                text.meta[VOLATILE_KEY] = True
         elif isinstance(item, TextNode):
-            item.meta[key] = True
+            item.meta[VOLATILE_KEY] = True
         elif isinstance(item, Node):
             for child in item.descendants():
                 if isinstance(child, TextNode):
-                    child.meta[key] = True
+                    child.meta[VOLATILE_KEY] = True
         elif isinstance(item, Iterable):
-            mark_volatile(*item, key=key)
+            mark_volatile(*item)
         else:
             raise TypeError(f"cannot mark {type(item).__name__} volatile")
 
@@ -99,17 +100,15 @@ class Sample:
 
     # -- wire form ----------------------------------------------------------
 
-    def to_payload(self, volatile_key: str = "volatile") -> dict:
-        """The portable (JSON) form: HTML + canonical paths.
+    def to_payload(self) -> dict:
+        """The portable (JSON) form: HTML + canonical paths + volatile
+        text values.
 
         Built on :class:`~repro.runtime.artifact.StoredSample`, so the
         round trip is validated at build time (targets must re-resolve
         on the reparsed page) rather than at induction time.
         """
-        stored = StoredSample.from_sample(
-            self.as_query_sample(), volatile_meta_key=volatile_key
-        )
-        payload = stored.to_payload()
+        payload = StoredSample.from_sample(self.as_query_sample()).to_payload()
         if self.fields:
             payload["fields"] = {
                 name: [str(canonical_path(node)) for node in nodes]

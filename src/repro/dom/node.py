@@ -210,9 +210,6 @@ class ElementNode(Node):
     def set_attr(self, name: str, value: str) -> None:
         self.attrs[name] = value
 
-    def remove_attr(self, name: str) -> None:
-        self.attrs.pop(name, None)
-
     # -- navigation ----------------------------------------------------------
 
     def attribute_node(self, name: str) -> Optional[AttributeNode]:

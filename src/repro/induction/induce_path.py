@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.dom.node import Document, Node
 from repro.induction.config import InductionConfig
-from repro.induction.prune import CandidatePruner, pruned_generation_config
+from repro.induction.prune import CandidatePruner
 from repro.induction.samples import QuerySample
 from repro.induction.spine import spine, targets_reachable
 from repro.induction.step_pattern import StepCandidate, step_patterns
@@ -56,19 +56,13 @@ class PathInductionContext:
     def for_doc(
         cls, doc: Document, config: InductionConfig, params: ScoringParams
     ) -> "PathInductionContext":
-        pruner = None
-        if config.search == "pruned":
-            pruner = CandidatePruner(
-                config.beam_width, config.prune_trials, config.prune_seed
-            )
-            config = pruned_generation_config(config)
         return cls(
             doc=doc,
             config=config,
             params=params,
             scorer=shared_scorer(params),
             evaluator=CachedEvaluator(doc),
-            pruner=pruner,
+            pruner=CandidatePruner() if config.search == "pruned" else None,
         )
 
     def node_id(self, node: Node) -> int:
@@ -132,7 +126,7 @@ def induce_path(
     score_pair = ctx.scorer.score_pair
     concat_ids = ctx.evaluator.evaluate_concat_ids
 
-    for v in _spine_targets(targets, ctx.config.max_target_spines):
+    for v in _spine_targets(targets, ctx.config.caps.max_target_spines):
         path = spine(u, v, axis)  # u .. v
         # Anchors t ∈ spine(v, u) − {u}, i.e. from v up/back towards u.
         for t_index in range(len(path) - 1, 0, -1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dom.node import Document, ElementNode, Node, TextNode
-from repro.induction.config import InductionConfig
+from repro.induction.config import VOLATILE_KEY, InductionConfig
 from repro.scoring.params import ScoringParams
 from repro.scoring.score import score_nodetest, score_predicate
 from repro.xpath.ast import (
@@ -36,6 +36,16 @@ from repro.xpath.ast import (
     name_test,
 )
 
+#: Per-value caps on generated string predicates: words taken from one
+#: text or attribute value, and the longest text or attribute value an
+#: equality predicate may compare against.
+MAX_WORDS_PER_VALUE = 4
+MAX_TEXT_LENGTH = 60
+MAX_ATTR_VALUE_LENGTH = 80
+
+#: Attributes never used in predicates (too volatile / non-semantic).
+SKIPPED_ATTRIBUTES = frozenset({"style"})
+
 
 @dataclass(frozen=True)
 class NodePattern:
@@ -43,10 +53,6 @@ class NodePattern:
 
     nodetest: NodeTest
     predicates: tuple[Predicate, ...]
-
-    @property
-    def base_score(self) -> float:  # pragma: no cover - convenience
-        raise NotImplementedError
 
 
 def _dedupe_words(values: list[str], limit: int) -> list[str]:
@@ -61,18 +67,16 @@ def _dedupe_words(values: list[str], limit: int) -> list[str]:
     return words
 
 
-def _attribute_predicates(
-    node: ElementNode, config: InductionConfig
-) -> list[Predicate]:
+def _attribute_predicates(node: ElementNode) -> list[Predicate]:
     predicates: list[Predicate] = []
     for name in sorted(node.attrs):
-        if name in config.skipped_attributes:
+        if name in SKIPPED_ATTRIBUTES:
             continue
         value = node.attrs[name]
         subject = AttrSubject(name)
-        if value and len(value) <= config.max_attr_value_length:
+        if value and len(value) <= MAX_ATTR_VALUE_LENGTH:
             predicates.append(StringPredicate("equals", subject, value))
-        words = _dedupe_words(value.split(), config.max_words_per_value)
+        words = _dedupe_words(value.split(), MAX_WORDS_PER_VALUE)
         for word in words:
             if word != value:
                 predicates.append(StringPredicate("contains", subject, word))
@@ -80,23 +84,18 @@ def _attribute_predicates(
     return predicates
 
 
-def _template_text_runs(node: Node, config: InductionConfig) -> list[TextNode]:
+def _template_text_runs(node: Node) -> list[TextNode]:
     """Descendant text nodes that are template (non-volatile) text."""
     if isinstance(node, TextNode):
         nodes = [node]
     else:
         assert isinstance(node, ElementNode)
         nodes = [n for n in node.descendants() if isinstance(n, TextNode)]
-    key = config.volatile_meta_key
-    return [n for n in nodes if not n.meta.get(key)]
+    return [n for n in nodes if not n.meta.get(VOLATILE_KEY)]
 
 
-def _text_predicates(
-    node: Node, doc: Document, config: InductionConfig
-) -> list[Predicate]:
-    if not config.allow_text_predicates:
-        return []
-    runs = _template_text_runs(node, config)
+def _text_predicates(node: Node, doc: Document) -> list[Predicate]:
+    runs = _template_text_runs(node)
     if not runs:
         return []
     subject = TextSubject()
@@ -107,7 +106,7 @@ def _text_predicates(
         [n for n in ([node] if isinstance(node, TextNode) else node.descendants())
          if isinstance(n, TextNode)]
     )
-    if all_template and full_text and len(full_text) <= config.max_text_length:
+    if all_template and full_text and len(full_text) <= MAX_TEXT_LENGTH:
         predicates.append(StringPredicate("equals", subject, full_text))
 
     # starts-with on the leading template run ("Director:" style labels).
@@ -122,7 +121,7 @@ def _text_predicates(
     words: list[str] = []
     for run in runs:
         words.extend(run.normalized_text().split())
-    for word in _dedupe_words(words, config.max_words_per_value):
+    for word in _dedupe_words(words, MAX_WORDS_PER_VALUE):
         if word != full_text and word != first_run:
             predicates.append(StringPredicate("contains", subject, word))
 
@@ -139,7 +138,8 @@ def node_patterns(
     config: InductionConfig,
     params: ScoringParams,
 ) -> list[NodePattern]:
-    """All candidate patterns for ``node``, cheapest first, capped.
+    """All candidate patterns for ``node``, cheapest first, capped by the
+    config's ``max_node_patterns`` generation cap.
 
     Returns an empty list for synthetic roots (they cannot be matched by
     any dsXPath node test, which is intended).
@@ -162,8 +162,8 @@ def node_patterns(
 
     predicate_options: list[tuple[Predicate, ...]] = [()]
     if isinstance(node, ElementNode):
-        predicate_options.extend((p,) for p in _attribute_predicates(node, config))
-    predicate_options.extend((p,) for p in _text_predicates(node, doc, config))
+        predicate_options.extend((p,) for p in _attribute_predicates(node))
+    predicate_options.extend((p,) for p in _text_predicates(node, doc))
 
     patterns = [NodePattern(test, ()) for test in generic]
     patterns.extend(
@@ -179,4 +179,4 @@ def node_patterns(
         return cost
 
     patterns.sort(key=lambda p: (pattern_cost(p), str(p.nodetest), str(p.predicates)))
-    return patterns[: config.max_node_patterns]
+    return patterns[: config.caps.max_node_patterns]

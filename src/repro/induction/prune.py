@@ -5,19 +5,20 @@
 ranking in the SPSA-FSR idiom (Yenice et al., arXiv:1804.05589): each
 candidate is reduced to a small feature vector (target coverage,
 match-set precision, robustness score, brevity), the feature weights
-are perturbed symmetrically a handful of times with a seeded RNG, and
-the candidate's ranks under the perturbed weightings are aggregated.
-Candidates that rank well *robustly* — under every perturbation, not
-just a single hand-tuned weighting — survive into the beam; only they
-receive full DP scoring (``score_pair`` + tail-query evaluation per
-K-best tail), which is where induction time actually goes on large
-pages.
+are perturbed symmetrically :data:`PRUNE_TRIALS` times with a seeded
+RNG, and the candidate's ranks under the perturbed weightings are
+aggregated.  Candidates that rank well *robustly* — under every
+perturbation, not just a single hand-tuned weighting — survive into
+the beam of :data:`BEAM_WIDTH`; only they receive full DP scoring
+(``score_pair`` + tail-query evaluation per K-best tail), which is
+where induction time actually goes on large pages.  Pruned search also
+generates fewer candidates: its row of
+:data:`repro.induction.config.GENERATION_CAPS`.
 
 Determinism contract: the RNG is seeded from
-``(config.prune_seed, context id, anchor id, axis)`` only, so a given
-document + config always prunes identically — same seed, same beam,
-same induced queries.  The exhaustive default never constructs a
-pruner at all.
+``(PRUNE_SEED, context id, anchor id, axis)`` only, so a given
+document always prunes identically — same beam, same induced queries.
+The exhaustive default never constructs a pruner at all.
 """
 
 from __future__ import annotations
@@ -42,46 +43,21 @@ _C_SCALE = 0.5
 #: Stable axis ordinal for RNG seeding (enum definition order).
 _AXIS_ORDINAL = {axis: index for index, axis in enumerate(Axis)}
 
-#: Generation quotas pruned search narrows *in addition to* the DP beam.
-#: Profiling shows candidate generation (the sideways cross-product in
-#: particular) costs as much as the DP itself on large pages, and the
-#: stochastic beam can only skip work that happens after generation —
-#: so pruned mode also tightens how many candidates get generated at
-#: all.  Values are ceilings: a stricter user-set quota always wins.
-PRUNED_GENERATION_LIMITS = {
-    "max_sideways_each_side": 2,
-    "max_sideways_patterns": 2,
-    "max_node_patterns": 20,
-    "max_target_spines": 6,
-}
-
-
-def pruned_generation_config(config):
-    """The effective config for a ``search="pruned"`` run."""
-    from dataclasses import replace
-
-    return replace(
-        config,
-        **{
-            field_name: min(getattr(config, field_name), ceiling)
-            for field_name, ceiling in PRUNED_GENERATION_LIMITS.items()
-        },
-    )
+#: Candidates kept per (context, anchor) spine position.
+BEAM_WIDTH = 10
+#: Weight-perturbation trials per candidate list.
+PRUNE_TRIALS = 4
+#: RNG seed: the determinism contract (same seed, same document, same
+#: beam → identical induction output).
+PRUNE_SEED = 0
 
 
 class CandidatePruner:
-    """Per-document pruning state: beam parameters plus skip counters."""
+    """Per-document pruning state: the skip counters."""
 
-    __slots__ = ("beam_width", "trials", "seed", "considered", "skipped")
+    __slots__ = ("considered", "skipped")
 
-    def __init__(self, beam_width: int, trials: int, seed: int) -> None:
-        if beam_width < 1:
-            raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-        if trials < 1:
-            raise ValueError(f"prune_trials must be >= 1, got {trials}")
-        self.beam_width = beam_width
-        self.trials = trials
-        self.seed = seed
+    def __init__(self) -> None:
         #: Candidates seen at positions where pruning was attempted.
         self.considered = 0
         #: Candidates dropped before full DP scoring.
@@ -98,7 +74,7 @@ class CandidatePruner:
     ) -> list["StepCandidate"]:
         """Return the surviving beam, in original candidate order."""
         self.considered += len(candidates)
-        if len(candidates) <= self.beam_width:
+        if len(candidates) <= BEAM_WIDTH:
             return list(candidates)
 
         node_id = doc.node_id
@@ -122,11 +98,11 @@ class CandidatePruner:
         # direction per feature and ranks the candidates under both the
         # +c and -c weightings; rank positions accumulate per candidate.
         rng = random.Random(
-            self.seed * 1_000_003 + nid * 8_191 + tid * 31 + _AXIS_ORDINAL[axis]
+            PRUNE_SEED * 1_000_003 + nid * 8_191 + tid * 31 + _AXIS_ORDINAL[axis]
         )
         total_rank = [0] * len(candidates)
         order = list(range(len(candidates)))
-        for _ in range(self.trials):
+        for _ in range(PRUNE_TRIALS):
             delta = [1 if rng.random() < 0.5 else -1 for _ in _BASE_WEIGHTS]
             for sign in (1, -1):
                 w0, w1, w2, w3 = (
@@ -147,7 +123,7 @@ class CandidatePruner:
 
         kept = sorted(
             range(len(candidates)), key=lambda i: (total_rank[i], i)
-        )[: self.beam_width]
+        )[:BEAM_WIDTH]
         self.skipped += len(candidates) - len(kept)
         # Preserve the generator's candidate order inside the beam so the
         # DP's insertion tie-breaks stay deterministic.

@@ -197,7 +197,6 @@ def _step_variants(
     axis: Axis,
     pattern: NodePattern,
     doc: Document,
-    config: InductionConfig,
 ) -> list[tuple[Step, list[Node]]]:
     """Steps built from one node pattern along one axis, with positional
     refinements; every variant matches ``target`` from ``context``."""
@@ -208,7 +207,7 @@ def _step_variants(
     except StopIteration:
         return []  # pattern does not reach the target at all
     variants: list[tuple[Step, list[Node]]] = [(base, ordered)]
-    if len(ordered) > 1 and config.enable_positional:
+    if len(ordered) > 1:
         index_pred = PositionalPredicate(index=position + 1)
         variants.append((_intern_step(base.with_predicates(index_pred)), [target]))
         from_last = len(ordered) - 1 - position
@@ -274,7 +273,7 @@ def step_patterns(
         for pattern in _cached_node_patterns(target, doc, config, params):
             is_core = not pattern.predicates and pattern.nodetest.kind in ("name", "text")
             for step, matches in _step_variants(
-                context, target, vertical_axis, pattern, doc, config
+                context, target, vertical_axis, pattern, doc
             ):
                 query = _single_query(step)
                 candidates.append((query, matches, 0.0 + step_score(step) * 1.0))
@@ -290,7 +289,7 @@ def step_patterns(
     # Selection runs on lightweight rank keys; only the ~5% of candidates
     # that survive are materialized into instances at the end.
     ranked = _LightTopK(k)
-    sideways_ranked = _LightTopK(max(1, config.max_sideways_patterns))
+    sideways_ranked = _LightTopK(config.caps.max_sideways_patterns)
     negf_by_fp: dict[int, float] = {}
     fps: list[int] = []
     for i, (query, matches, score) in enumerate(candidates):
@@ -365,8 +364,9 @@ def _sideways_candidates(
         piece_scorer = shared_scorer(params, "pieces")
     step_score = piece_scorer._step_score
     decay_1 = piece_scorer._pow(1)
+    caps = config.caps
     results: list[tuple[Query, list[Node], float]] = []
-    for sibling in _nearby_siblings(target, config.max_sideways_each_side):
+    for sibling in _nearby_siblings(target, caps.max_sideways_each_side):
         if sibling.index_in_parent() < target.index_in_parent():
             sibling_axis = Axis.FOLLOWING_SIBLING
         else:
@@ -374,22 +374,22 @@ def _sideways_candidates(
 
         sibling_steps: list[tuple[Step, list[Node]]] = []
         for pattern in _cached_node_patterns(sibling, doc, config, params)[
-            : config.max_sideways_patterns
+            : caps.max_sideways_patterns
         ]:
             for step, matches in _step_variants(
-                context, sibling, Axis.DESCENDANT, pattern, doc, config
+                context, sibling, Axis.DESCENDANT, pattern, doc
             ):
                 if len(matches) <= _MAX_ANCHOR_MATCHES:
                     sibling_steps.append((step, matches))
 
         target_steps: list[tuple[Step, float]] = []
         for pattern in _cached_node_patterns(target, doc, config, params)[
-            : config.max_sideways_patterns
+            : caps.max_sideways_patterns
         ]:
             target_steps.extend(
                 (step, step_score(step) * decay_1)
                 for step, _ in _step_variants(
-                    sibling, target, sibling_axis, pattern, doc, config
+                    sibling, target, sibling_axis, pattern, doc
                 )
             )
 

@@ -11,7 +11,9 @@ needs to know about one induced wrapper:
 * the annotated samples themselves — page HTML plus canonical paths of
   the target/context nodes — so a degraded wrapper can be *re-induced*
   without access to the original annotation session;
-* provenance (site/task ids, snapshot, config, repair generation).
+* provenance (site/task ids, snapshot, repair generation) and the five
+  :class:`~repro.induction.config.InductionConfig` fields the wrapper
+  was induced under.
 
 Queries round-trip through their canonical text
 (``str(query)`` → :func:`repro.xpath.parser.parse_query`), which is
@@ -22,7 +24,9 @@ round-trip through :func:`repro.dom.serialize.to_html` /
 :func:`repro.dom.parser.parse_html`; target nodes are re-located by
 evaluating their canonical paths on the reparsed page, and volatile
 (data, non-template) text is re-marked by value so re-induction obeys
-the same no-data-predicates protocol as the original run.
+the same no-data-predicates protocol as the original run.  Loading
+validates the config as it parses the queries, so a malformed one is
+an :class:`ArtifactError` at load time, never a failure at repair time.
 
 This module only turns artifacts into JSON and back
 (:meth:`WrapperArtifact.dumps` / :meth:`WrapperArtifact.loads`); the
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 from repro.dom.node import Document, Node
 from repro.dom.parser import parse_html
 from repro.dom.serialize import to_html
-from repro.induction.config import InductionConfig
+from repro.induction.config import VOLATILE_KEY, InductionConfig
 from repro.induction.ensemble import EnsembleWrapper, build_ensemble
 from repro.induction.induce import InductionResult
 from repro.induction.samples import QuerySample
@@ -99,26 +103,20 @@ class RankedQuery:
 
 
 def config_to_payload(config: InductionConfig) -> dict:
-    """Serialize the *complete* induction configuration.
-
-    Repairs must re-induce under exactly the settings the deployment
-    signed off on (a forbidden text predicate resurfacing on repair is a
-    silent protocol violation), so every field is persisted — set-valued
-    fields as sorted lists for JSON.
-    """
-    payload = asdict(config)
-    payload["skipped_attributes"] = sorted(config.skipped_attributes)
-    return payload
+    """Serialize the induction configuration: every field, so repairs
+    re-induce under exactly the settings the deployment signed off on."""
+    return asdict(config)
 
 
 def config_from_payload(payload: dict) -> InductionConfig:
-    """Rebuild an :class:`InductionConfig`, tolerating missing keys
-    (fields added after the artifact was written keep their defaults)."""
+    """Rebuild an :class:`InductionConfig`, ignoring unknown keys (fields
+    an older writer had, which are constants now) and tolerating missing
+    ones (fields added after the artifact was written keep their
+    defaults).  An invalid value raises ``ValueError``."""
     known = {f.name for f in dataclass_fields(InductionConfig)}
-    kwargs = {key: value for key, value in payload.items() if key in known}
-    if "skipped_attributes" in kwargs:
-        kwargs["skipped_attributes"] = frozenset(kwargs["skipped_attributes"])
-    return InductionConfig(**kwargs)
+    return InductionConfig(
+        **{key: value for key, value in payload.items() if key in known}
+    )
 
 
 def resolve_path(doc: Document, path: str) -> Node:
@@ -153,19 +151,17 @@ class StoredSample:
     text node *containing* one of these values is re-marked volatile —
     a conservative re-marking (template text that merely embeds a data
     value is data-bearing too) that keeps re-induction from anchoring
-    wrappers on page data.  ``volatile_key`` records which ``meta`` key
-    the marks were captured from, so restore re-marks under the same
-    key the (possibly customized) induction config reads.
+    wrappers on page data.  Marks are read and written under
+    :data:`~repro.induction.config.VOLATILE_KEY`.
     """
 
     html: str
     target_paths: tuple[str, ...]
     context_path: Optional[str] = None
     volatile_texts: tuple[str, ...] = ()
-    volatile_key: str = "volatile"
 
     @classmethod
-    def from_sample(cls, sample: QuerySample, volatile_meta_key: str = "volatile") -> "StoredSample":
+    def from_sample(cls, sample: QuerySample) -> "StoredSample":
         doc = sample.doc
         target_paths = tuple(str(canonical_path(node)) for node in sample.targets)
         context_path = (
@@ -174,14 +170,13 @@ class StoredSample:
         volatile = {
             doc.normalized_text(node)
             for node in doc.index.texts
-            if node.meta.get(volatile_meta_key)
+            if node.meta.get(VOLATILE_KEY)
         }
         stored = cls(
             html=to_html(doc),
             target_paths=target_paths,
             context_path=context_path,
             volatile_texts=tuple(sorted(v for v in volatile if v)),
-            volatile_key=volatile_meta_key,
         )
         stored.restore()  # fail at build time, not at repair time
         return stored
@@ -193,7 +188,7 @@ class StoredSample:
             for node in doc.index.texts:
                 text = doc.normalized_text(node)
                 if any(value in text for value in self.volatile_texts):
-                    node.meta[self.volatile_key] = True
+                    node.meta[VOLATILE_KEY] = True
         targets = [resolve_path(doc, path) for path in self.target_paths]
         context = (
             resolve_path(doc, self.context_path)
@@ -207,7 +202,6 @@ class StoredSample:
             "html": self.html,
             "targets": list(self.target_paths),
             "volatile_texts": list(self.volatile_texts),
-            "volatile_key": self.volatile_key,
         }
         if self.context_path is not None:
             payload["context"] = self.context_path
@@ -223,7 +217,6 @@ class StoredSample:
                     None if payload.get("context") is None else str(payload["context"])
                 ),
                 volatile_texts=tuple(str(v) for v in payload.get("volatile_texts", ())),
-                volatile_key=str(payload.get("volatile_key", "volatile")),
             )
         except (KeyError, TypeError) as exc:
             raise ArtifactError("malformed stored sample payload") from exc
@@ -244,9 +237,9 @@ class WrapperArtifact:
     beta: float = 0.5
     generation: int = 0
     provenance: dict = field(default_factory=dict)
-    #: The full induction configuration the wrapper was built with;
-    #: re-induction reuses it so a repair ranks exactly the candidate
-    #: space the original induction did.
+    #: The induction configuration the wrapper was built with (the
+    #: ``config_to_payload`` form); re-induction reuses it so a repair
+    #: ranks exactly the candidate space the original induction did.
     config: dict = field(default_factory=dict)
     version: int = ARTIFACT_VERSION
 
@@ -297,7 +290,6 @@ class WrapperArtifact:
         ensemble = build_ensemble(
             result, size=ensemble_size, diversity=config.diversity or None
         )
-        volatile_key = config.volatile_meta_key
         return cls(
             task_id=task_id,
             site_id=site_id,
@@ -319,10 +311,7 @@ class WrapperArtifact:
                     result.best.query, samples[-1].context, samples[-1].doc
                 )
             ),
-            samples=tuple(
-                StoredSample.from_sample(s, volatile_meta_key=volatile_key)
-                for s in samples
-            ),
+            samples=tuple(StoredSample.from_sample(s) for s in samples),
             beta=result.beta,
             generation=generation,
             provenance=dict(provenance or {}),
@@ -414,15 +403,18 @@ class WrapperArtifact:
                 beta=float(payload.get("beta", 0.5)),
                 generation=int(payload.get("generation", 0)),
                 provenance=dict(payload.get("provenance", {})),
-                config=dict(payload.get("config", {})),
+                config=config_to_payload(
+                    config_from_payload(dict(payload.get("config", {})))
+                ),
                 version=int(version),
             )
         except ArtifactError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(f"malformed artifact payload: {exc}") from exc
-        # Every query must parse — catch corruption at load time — and
-        # the deployed wrappers compile into the global plan memo here,
+        # The config is rebuilt above and every query must parse — catch
+        # corruption at load time, not at repair time — and the deployed
+        # wrappers compile into the global plan memo here,
         # so serving never pays parse/compile cost inside a request.
         for ranked in artifact.queries:
             ranked.parse()

@@ -162,6 +162,10 @@ def _validated_tenant(args: argparse.Namespace) -> str:
 
 def cmd_induce(args: argparse.Namespace) -> int:
     _validated_tenant(args)
+    try:
+        config = InductionConfig(k=args.k)
+    except ValueError as exc:
+        raise SystemExit(f"--k: {exc}")
     tasks = _corpus_tasks(args.multi)
     if args.task:
         wanted = set(args.task)
@@ -175,7 +179,6 @@ def cmd_induce(args: argparse.Namespace) -> int:
     # count; a new store gets --shards (or the default).
     store = _open_store(args.store, create=True, n_shards=args.shards)
 
-    config = InductionConfig(k=args.k)
     inducer = WrapperInducer(k=args.k, config=config)
     started = time.perf_counter()
     written = 0

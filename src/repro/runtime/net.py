@@ -79,13 +79,15 @@ Request routing by cost:
 
 Failure containment: malformed JSON or a wrongly typed field → 400,
 unknown wrapper → 404, oversized body → 413 (bounded by
-``NetConfig.max_body_bytes`` *before* the body is read, and for
-``/extract_many`` by ``MAX_BATCH_ITEMS``), a key placing
+:data:`~repro.api.results.MAX_BODY_BYTES` *before* the body is read,
+and for ``/extract_many`` by ``MAX_BATCH_ITEMS``), a key placing
 into a shard this host does not own → 421 with code
 ``shard_not_owned`` (cluster members launched with ``--own-shards``;
 the body names the wanted shard and the owned group), an unusable
-sample, path or option, or a ``/deploy`` artifact whose config exceeds
-the ``/induce`` option ceilings → 422, and 500 for server faults only;
+sample, path or option, an ``/induce`` ``k`` outside 1 to
+:data:`~repro.induction.config.MAX_K`, or a ``/deploy`` artifact that
+does not load (its config is validated with its queries) → 422, and
+500 for server faults only;
 a client disconnecting mid-request just ends its connection — the
 server and every other connection keep serving.  Error bodies are
 ``{"error": message, "code": code, ...}``.
@@ -103,10 +105,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Awaitable, Callable, Optional
 from urllib.parse import unquote
 
+from repro.api import results as protocol
 from repro.api.client import WrapperClient
 from repro.api.results import (
     MAX_BATCH_ITEMS,
-    MAX_BODY_BYTES,
     FacadeError,
     check_from_records,
     extraction_wrappers,
@@ -169,10 +171,10 @@ INDUCE_WORKERS = 2
 class NetConfig:
     """Network front-end limits.
 
-    ``max_body_bytes`` bounds request bodies (checked against
-    ``Content-Length`` before reading — an oversized upload is refused
-    without buffering it).  ``max_header_bytes`` bounds the request
-    head.  ``serving`` configures the shared extraction server behind
+    ``max_header_bytes`` bounds the request head; bodies are bounded by
+    the protocol's :data:`~repro.api.results.MAX_BODY_BYTES`, the limit
+    :class:`~repro.api.remote.RemoteWrapperClient` packs its requests
+    under.  ``serving`` configures the shared extraction server behind
     ``extract``/``check``.
 
     The hardening knobs all default to off (a no-auth launch is fully
@@ -183,7 +185,6 @@ class NetConfig:
     one JSONL record per answered request.
     """
 
-    max_body_bytes: int = MAX_BODY_BYTES
     max_header_bytes: int = 32768
     serving: ServingConfig = field(default_factory=ServingConfig)
     auth: Optional[ApiKeyTable] = None
@@ -191,8 +192,6 @@ class NetConfig:
     access_log: Optional[AccessLog] = None
 
     def __post_init__(self) -> None:
-        if self.max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
         if self.max_header_bytes < 256:
             raise ValueError("max_header_bytes must be >= 256")
 
@@ -630,12 +629,12 @@ class WrapperHTTPServer:
                 raise _HTTPError(400, "invalid Content-Length", close=True) from None
             if length < 0:
                 raise _HTTPError(400, "negative Content-Length", close=True)
-        if length > self.config.max_body_bytes:
+        if length > protocol.MAX_BODY_BYTES:
             # Refuse before reading: the body never enters memory.
             raise _HTTPError(
                 413,
                 f"request body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit",
+                f"{protocol.MAX_BODY_BYTES}-byte limit",
                 close=True,
             )
         body = b""
@@ -840,49 +839,6 @@ class WrapperHTTPServer:
             )
             ctx["induce_ms"] = elapsed_ms
 
-    #: Ceilings on the pruned-search work knobs.  The listen surface
-    #: serves untrusted clients, and a repair's cost grows linearly in
-    #: these, so neither endpoint that sets them lets a client choose
-    #: them freely: ``/induce`` clamps its options onto them, and
-    #: ``/deploy`` rejects an artifact whose config exceeds them.
-    #: Non-integer ``/induce`` values pass through untouched and are
-    #: rejected with a 422 by ``config_with_options``'s type validation.
-    _WIRE_OPTION_CEILINGS = {
-        "beam_width": 64,
-        "prune_trials": 32,
-    }
-
-    @classmethod
-    def _sanitize_induce_options(cls, options: Optional[dict]) -> Optional[dict]:
-        if not options:
-            return options
-        options = dict(options)
-        for key, ceiling in cls._WIRE_OPTION_CEILINGS.items():
-            value = options.get(key)
-            if isinstance(value, int) and not isinstance(value, bool):
-                # Negative values stay as-is: config validation rejects
-                # them with its own (422) message.
-                options[key] = min(value, ceiling)
-        return options
-
-    @classmethod
-    def _check_deploy_config(cls, artifact) -> None:
-        """422 unless the artifact's config builds and stays within
-        :attr:`_WIRE_OPTION_CEILINGS`.  Rejected, not clamped: a repair
-        re-induces under exactly the config that was deployed."""
-        try:
-            config = artifact.induction_config()
-        except (TypeError, ValueError) as exc:
-            raise _HTTPError(422, f"artifact config is invalid: {exc}") from None
-        for key, ceiling in cls._WIRE_OPTION_CEILINGS.items():
-            value = getattr(config, key)
-            if value > ceiling:
-                raise _HTTPError(
-                    422,
-                    f"artifact config {key}={value} exceeds the ceiling "
-                    f"of {ceiling}",
-                )
-
     async def _op_induce(self, payload: dict, principal: Optional[str], ctx: dict):
         site_key = self._field(payload, "site_key")
         self._check_key(site_key, principal, ctx)
@@ -893,7 +849,6 @@ class WrapperHTTPServer:
         options = payload.get("options")
         if options is not None and not isinstance(options, dict):
             raise _HTTPError(400, "'options' must be a JSON object")
-        options = self._sanitize_induce_options(options)
         sizes = {
             name: self._int_field(payload, name, default)
             for name, default in (("k", 10), ("ensemble_size", 3), ("max_queries", 10))
@@ -1027,7 +982,6 @@ class WrapperHTTPServer:
             from repro.runtime.artifact import WrapperArtifact
 
             artifact = WrapperArtifact.from_payload(raw)
-            self._check_deploy_config(artifact)
             return self.client.deploy(artifact).to_payload()
 
         return 200, await self._in_executor(op)

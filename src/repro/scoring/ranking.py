@@ -67,9 +67,6 @@ class QueryInstance:
         """Exactly the targets: no false positives or negatives."""
         return self.fp == 0 and self.fn == 0 and self.tp > 0
 
-    def with_counts(self, tp: int, fp: int, fn: int) -> "QueryInstance":
-        return QueryInstance(self.query, tp, fp, fn, self.score)
-
     def _key(self) -> tuple:
         return (self.query, self.tp, self.fp, self.fn, self.score)
 

@@ -346,9 +346,4 @@ class Query:
             return cached
 
 
-def single_step_query(axis: Axis, nodetest: NodeTest, *predicates: Predicate) -> Query:
-    """Convenience constructor for one-step queries."""
-    return Query((Step(axis, nodetest, tuple(predicates)),))
-
-
 EMPTY_QUERY = Query()

@@ -1,12 +1,15 @@
 """Compatibility with what was written before the induction fold pool,
 the NDJSON ``/extract_many`` stream mode and the deprecation shims were
-removed.
+removed, and before fourteen induction settings became constants.
 
 * An artifact from then still loads, serves and repairs on every
-  backend, although its config carries ``fold_workers`` and its
-  provenance ``pooled``.
-* ``fold_workers`` is an unknown induce option now: a
-  :class:`FacadeError` on every backend, a 422 on the wire.
+  backend, although its config carries ``fold_workers`` and the
+  fourteen removed fields, its samples a ``volatile_key``, and its
+  provenance ``pooled``.  The repaired generation stores the five
+  config fields left.
+* ``fold_workers``, ``beam_width``, ``prune_trials`` and ``prune_seed``
+  are unknown induce options now: a :class:`FacadeError` on every
+  backend, a 422 on the wire.
 
 ``Accept: application/x-ndjson`` and the removed ``wire`` option of
 ``extract_many`` are covered in ``tests/runtime/test_bulk_wire.py``.
@@ -16,7 +19,7 @@ import json
 
 import pytest
 
-from repro import FacadeError, Sample, mark_volatile, parse_html
+from repro import FacadeError, Sample, WrapperClient, mark_volatile, parse_html
 from repro.runtime.artifact import WrapperArtifact
 
 from tests.api.test_facade_parity import _raw_status_and_body
@@ -65,8 +68,15 @@ def price_sample() -> Sample:
     return Sample(doc, [target])
 
 
+#: Pruned-search options that were config fields; each is an unknown
+#: option now (``fold_workers`` has tests of its own below).
+REMOVED_OPTIONS = {"beam_width": 6, "prune_trials": 8, "prune_seed": 3}
+
+
 def test_the_fixture_is_the_old_shape():
     assert PRE_REMOVAL_ARTIFACT["config"]["fold_workers"] == 4
+    assert len(PRE_REMOVAL_ARTIFACT["config"]) == 20  # 19 fields + fold_workers
+    assert PRE_REMOVAL_ARTIFACT["samples"][0]["volatile_key"] == "volatile"
     assert PRE_REMOVAL_ARTIFACT["provenance"]["facade"]["induction"]["pooled"] is False
 
 
@@ -80,9 +90,29 @@ def test_pre_removal_artifact_loads_serves_and_repairs(client):  # noqa: F811
     assert client.extract("shop/price", CHANGED_PAGE).values == ("12",)
 
 
+def test_pre_removal_artifact_repairs_to_the_five_config_fields():
+    client = WrapperClient()
+    client.deploy(WrapperArtifact.from_payload(PRE_REMOVAL_ARTIFACT))
+    client.repair("shop/price", CHANGED_PAGE, target_paths=[PRICE_PATH])
+    repaired = client.artifact("shop/price")
+    assert repaired.generation == 1
+    assert sorted(repaired.config) == [
+        "beta", "diversity", "enable_sideways", "k", "search",
+    ]
+    assert all("volatile_key" not in sample for sample in repaired.to_payload()["samples"])
+
+
 def test_fold_workers_option_is_a_facade_error(client):  # noqa: F811
     with pytest.raises(FacadeError, match="unknown induction options"):
         client.induce("shop/folds", [price_sample()], options={"fold_workers": 2})
+
+
+@pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+def test_removed_options_are_a_facade_error(client, option):  # noqa: F811
+    with pytest.raises(FacadeError, match="unknown induction options"):
+        client.induce(
+            "shop/removed", [price_sample()], options={option: REMOVED_OPTIONS[option]}
+        )
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +141,23 @@ def test_fold_workers_option_is_422_on_the_wire(live_host):
     assert status == 422, answer
     assert answer["code"] == "unprocessable"
     assert "unknown induction options" in answer["error"]
+
+
+@pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+def test_removed_options_are_422_on_the_wire(live_host, option):
+    host, port = live_host
+    status, body = _raw_status_and_body(
+        host,
+        port,
+        "POST",
+        "/induce",
+        payload={
+            "site_key": "shop/removed",
+            "samples": [price_sample().to_payload()],
+            "options": {"search": "pruned", option: REMOVED_OPTIONS[option]},
+        },
+    )
+    answer = json.loads(body)
+    assert status == 422, answer
+    assert answer["code"] == "unprocessable"
+    assert option in answer["error"]

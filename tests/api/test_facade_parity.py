@@ -228,15 +228,16 @@ class TestFacadeContract:
             ("k", 2.5),
             ("k", True),
             ("k", 0),
+            ("k", 65),
             ("ensemble_size", 0),
             ("ensemble_size", -1),
             ("max_queries", -1),
         ],
     )
     def test_invalid_induce_size_raises_facade_error(self, client, name, value):
-        """A size that is a bool, not an int, or below 1 is refused
-        before any work — never a raw TypeError, never a silently
-        clamped or truncated wrapper."""
+        """A size that is a bool, not an int, below 1, or (for ``k``)
+        above ``MAX_K`` is refused before any work — never a raw
+        TypeError, never a silently clamped or truncated wrapper."""
         with pytest.raises(FacadeError, match=name):
             client.induce("parity/sizes", [price_sample()], **{name: value})
         assert "parity/sizes" not in client

@@ -97,15 +97,6 @@ class TestTextPredicates:
         assert "Martin" not in values
         assert not any("Martin" in v for v in values)
 
-    def test_text_predicates_disabled_by_config(self):
-        doc = parse_html("<h4>Director:</h4>")
-        config = InductionConfig(allow_text_predicates=False)
-        pats = node_patterns(doc.find(tag="h4"), doc, config, PARAMS)
-        assert not any(
-            isinstance(p, StringPredicate) and isinstance(p.subject, TextSubject)
-            for pat in pats
-            for p in pat.predicates
-        )
 
 
 class TestCapsAndOrdering:
@@ -114,10 +105,15 @@ class TestCapsAndOrdering:
         assert all(len(p.predicates) <= 1 for p in pats)
 
     def test_capped_by_config(self):
-        config = InductionConfig(max_node_patterns=5)
-        doc = parse_html('<div id="a" class="b c d" title="t">Director: x</div>')
-        pats = node_patterns(doc.find(tag="div"), doc, config, PARAMS)
-        assert len(pats) <= 5
+        """The config's search mode picks the cap: pruned search keeps
+        the cheapest 20 of the patterns exhaustive search keeps."""
+        attrs = " ".join(f'data-{i}="v{i} w{i}"' for i in range(12))
+        doc = parse_html(f"<div {attrs}>Director: x</div>")
+        div = doc.find(tag="div")
+        exhaustive = node_patterns(div, doc, CONFIG, PARAMS)
+        pruned = node_patterns(div, doc, InductionConfig(search="pruned"), PARAMS)
+        assert len(exhaustive) == 48
+        assert pruned == exhaustive[:20]
 
     def test_cheapest_first(self):
         _, _, pats = patterns_for('<div id="a">t</div>', tag="div")

@@ -3,7 +3,9 @@
 The integration-level parity guarantees live in
 ``tests/integration/test_pruned_parity.py``; here we pin the pruner's
 own mechanics — beam size, ordering, counters, determinism, and the
-generation-quota narrowing — against hand-built candidates.
+generation caps of pruned search — against hand-built candidates.  The
+beam width, trial count and seed are module constants; tests that vary
+them monkeypatch ``repro.induction.prune``.
 """
 
 import dataclasses
@@ -11,12 +13,15 @@ import dataclasses
 import pytest
 
 from repro.dom import parse_html
-from repro.induction.config import InductionConfig, config_with_options
-from repro.induction.prune import (
-    PRUNED_GENERATION_LIMITS,
-    CandidatePruner,
-    pruned_generation_config,
+from repro.induction import prune
+from repro.induction.config import (
+    GENERATION_CAPS,
+    InductionConfig,
+    config_with_options,
 )
+from repro.induction.induce_path import PathInductionContext
+from repro.induction.prune import CandidatePruner
+from repro.scoring.params import ScoringParams
 from repro.xpath.ast import Axis
 
 
@@ -49,34 +54,43 @@ def _prune(pruner, candidates, doc, reachable):
                         reachable=reachable, doc=doc)
 
 
+@pytest.fixture
+def beam(monkeypatch):
+    """Set the beam width for one test."""
+    return lambda width: monkeypatch.setattr(prune, "BEAM_WIDTH", width)
+
+
 class TestCandidatePruner:
-    def test_small_lists_pass_through(self, doc):
+    def test_small_lists_pass_through(self, doc, beam):
+        beam(5)
         nodes = _nodes(doc)
         candidates = [_FakeCandidate([n]) for n in nodes[:3]]
-        pruner = CandidatePruner(beam_width=5, trials=4, seed=0)
+        pruner = CandidatePruner()
         kept = _prune(pruner, candidates, doc, frozenset())
         assert kept == candidates
         assert pruner.considered == 3
         assert pruner.skipped == 0
 
-    def test_beam_width_and_counters(self, doc):
+    def test_beam_width_and_counters(self, doc, beam):
+        beam(4)
         nodes = _nodes(doc)
         candidates = [_FakeCandidate([n]) for n in nodes]
-        pruner = CandidatePruner(beam_width=4, trials=4, seed=0)
+        pruner = CandidatePruner()
         kept = _prune(pruner, candidates, doc, frozenset())
         assert len(kept) == 4
         assert pruner.considered == len(candidates)
         assert pruner.skipped == len(candidates) - 4
 
-    def test_beam_preserves_generation_order(self, doc):
+    def test_beam_preserves_generation_order(self, doc, beam):
+        beam(5)
         nodes = _nodes(doc)
         candidates = [_FakeCandidate([n]) for n in nodes]
-        pruner = CandidatePruner(beam_width=5, trials=4, seed=0)
+        pruner = CandidatePruner()
         kept = _prune(pruner, candidates, doc, frozenset())
         positions = [candidates.index(c) for c in kept]
         assert positions == sorted(positions)
 
-    def test_target_hitting_candidates_survive(self, doc):
+    def test_target_hitting_candidates_survive(self, doc, beam):
         """Coverage/precision weights stay positive under every SPSA
         perturbation, so a candidate matching the reachable set exactly
         must always outrank candidates that match nothing."""
@@ -84,24 +98,28 @@ class TestCandidatePruner:
         reachable = frozenset(doc.node_id(n) for n in nodes[:2])
         noise = [_FakeCandidate([n], score=5.0) for n in nodes[4:]]
         sharp = _FakeCandidate(nodes[:2], score=5.0)
-        pruner = CandidatePruner(beam_width=2, trials=4, seed=0)
+        beam(2)
+        pruner = CandidatePruner()
         kept = _prune(pruner, noise + [sharp], doc, reachable)
         assert sharp in kept
 
-    def test_same_seed_is_deterministic(self, doc):
+    def test_same_seed_is_deterministic(self, doc, beam, monkeypatch):
+        beam(3)
+        monkeypatch.setattr(prune, "PRUNE_SEED", 9)
         nodes = _nodes(doc)
         candidates = [_FakeCandidate([n], score=float(i % 5))
                       for i, n in enumerate(nodes)]
-        first = _prune(CandidatePruner(3, 4, seed=9), candidates, doc, frozenset())
-        second = _prune(CandidatePruner(3, 4, seed=9), candidates, doc, frozenset())
+        first = _prune(CandidatePruner(), candidates, doc, frozenset())
+        second = _prune(CandidatePruner(), candidates, doc, frozenset())
         assert first == second
 
-    def test_position_feeds_the_rng_seed(self, doc):
+    def test_position_feeds_the_rng_seed(self, doc, beam):
         """Different (nid, tid, axis) positions draw from different RNG
         streams — same stream would correlate beams across the DP."""
+        beam(3)
         nodes = _nodes(doc)
         candidates = [_FakeCandidate([n]) for n in nodes]
-        pruner = CandidatePruner(beam_width=3, trials=4, seed=0)
+        pruner = CandidatePruner()
         a = pruner.prune(candidates, nid=1, tid=1, axis=Axis.CHILD,
                          reachable=frozenset(), doc=doc)
         b = pruner.prune(candidates, nid=1, tid=1, axis=Axis.CHILD,
@@ -113,39 +131,42 @@ class TestCandidatePruner:
         {"beam_width": 5, "trials": 0, "seed": 0},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        """The beam is a constant: the pruner takes no parameters."""
+        with pytest.raises(TypeError):
             CandidatePruner(**kwargs)
 
 
 class TestPrunedGenerationConfig:
-    def test_ceilings_applied(self):
-        narrowed = pruned_generation_config(InductionConfig())
-        for field_name, ceiling in PRUNED_GENERATION_LIMITS.items():
-            assert getattr(narrowed, field_name) == ceiling
+    def test_ceilings_applied(self, doc):
+        """Pruned search generates under its own row of the caps table,
+        which is nowhere looser than the exhaustive row."""
+        assert GENERATION_CAPS["exhaustive"] == (48, 4, 6, 12)
+        assert GENERATION_CAPS["pruned"] == (20, 2, 2, 6)
+        ctx = PathInductionContext.for_doc(
+            doc, InductionConfig(search="pruned"), ScoringParams()
+        )
+        assert ctx.config.caps == GENERATION_CAPS["pruned"]
+        assert isinstance(ctx.pruner, CandidatePruner)
+        for pruned, exhaustive in zip(
+            GENERATION_CAPS["pruned"], GENERATION_CAPS["exhaustive"]
+        ):
+            assert pruned <= exhaustive
 
-    def test_stricter_user_quota_wins(self):
-        config = InductionConfig(max_target_spines=2, max_node_patterns=5)
-        narrowed = pruned_generation_config(config)
-        assert narrowed.max_target_spines == 2
-        assert narrowed.max_node_patterns == 5
-
-    def test_other_fields_untouched(self):
+    def test_other_fields_untouched(self, doc):
+        """The caps come from the table: a pruned run keeps its config
+        object as given, with no rewritten copy."""
         config = InductionConfig(k=7, beta=0.8, search="pruned")
-        narrowed = pruned_generation_config(config)
-        assert narrowed.k == 7
-        assert narrowed.beta == 0.8
-        assert narrowed.search == "pruned"
+        ctx = PathInductionContext.for_doc(doc, config, ScoringParams())
+        assert ctx.config is config
 
 
 class TestConfigOptions:
     def test_options_map_onto_fields(self):
         config = config_with_options(
-            InductionConfig(),
-            {"search": "pruned", "beam_width": 6, "prune_seed": 3},
+            InductionConfig(), {"search": "pruned", "diversity": 2.0}
         )
         assert config.search == "pruned"
-        assert config.beam_width == 6
-        assert config.prune_seed == 3
+        assert config.diversity == 2.0
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown induction options"):
@@ -172,8 +193,10 @@ class TestConfigOptions:
     )
     def test_wrongly_typed_options_rejected(self, key, bad):
         """Malformed wire values must fail here (FacadeError/422 on the
-        wire), not as a 500 deep inside the pruner."""
-        with pytest.raises(ValueError, match=f"induction option '{key}'"):
+        wire), not as a 500 deep inside induction.  The pruner's
+        ``beam_width``, ``prune_trials`` and ``prune_seed`` are constants
+        now, so those keys fail as unknown options whatever the value."""
+        with pytest.raises(ValueError, match=key):
             config_with_options(InductionConfig(), {key: bad})
 
     def test_int_diversity_coerced_to_float(self):

@@ -77,16 +77,6 @@ class TestPositionalRefinement:
         queries = {str(c.query) for c in run_step_patterns(list_doc, root, li2, Axis.CHILD)}
         assert "descendant::li" in queries  # over-matching piece must survive
 
-    def test_positional_disabled(self, list_doc):
-        config = InductionConfig(enable_positional=False)
-        root = list_doc.root
-        li2 = list_doc.find(tag="ul").element_children()[1]
-        queries = {
-            str(c.query)
-            for c in run_step_patterns(list_doc, root, li2, Axis.CHILD, config)
-        }
-        assert all("[2]" not in q and "last()" not in q for q in queries)
-
 
 class TestSidewaysChecks:
     def test_sibling_anchor_generated(self, list_doc):

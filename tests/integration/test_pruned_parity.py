@@ -22,6 +22,7 @@ import pathlib
 
 import pytest
 
+from repro.induction import prune
 from repro.induction.config import InductionConfig
 from repro.induction.induce import WrapperInducer
 from repro.runtime.corpus import induce_corpus_task, snapshot0_annotation
@@ -121,9 +122,9 @@ class TestPrunedDeterminism:
             induce_corpus_task(corpus_task, busy)
         assert busy.induce_one(doc, targets).export() == baseline
 
-    def test_seed_changes_move_the_beam_deterministically(self):
+    def test_seed_changes_move_the_beam_deterministically(self, monkeypatch):
         doc, targets = _wide_annotation()
-        reseeded = InductionConfig(search="pruned", prune_seed=7)
-        first = WrapperInducer(k=10, config=reseeded).induce_one(doc, targets)
-        second = WrapperInducer(k=10, config=reseeded).induce_one(doc, targets)
+        monkeypatch.setattr(prune, "PRUNE_SEED", 7)
+        first = WrapperInducer(k=10, config=PRUNED_CONFIG).induce_one(doc, targets)
+        second = WrapperInducer(k=10, config=PRUNED_CONFIG).induce_one(doc, targets)
         assert first.export() == second.export()

@@ -106,26 +106,27 @@ class TestStoredSamples:
         ]
         assert marked, "no volatile text re-marked on the restored page"
 
-    def test_custom_volatile_key_round_trips(self):
-        """A customized InductionConfig.volatile_meta_key must survive
-        serialization: restore re-marks under the key the config reads."""
+    def test_volatile_marks_round_trip_under_the_constant_key(self):
+        """Samples carry no meta key: marks are captured and restored
+        under ``VOLATILE_KEY``, and an older payload's ``volatile_key``
+        is ignored."""
         from repro.dom.builder import E, T, document
         from repro.dom.node import TextNode
+        from repro.induction.config import VOLATILE_KEY
 
         data = T("churning data value")
-        data.meta["data_mark"] = True
+        data.meta[VOLATILE_KEY] = True
         doc = document(E("html", E("body", E("span", "label"), E("p", data))))
         target = doc.find(tag="span")
-        stored = StoredSample.from_sample(
-            QuerySample(doc, [target]), volatile_meta_key="data_mark"
-        )
-        reloaded = StoredSample.from_payload(stored.to_payload())
-        assert reloaded.volatile_key == "data_mark"
-        restored = reloaded.restore()
+        payload = StoredSample.from_sample(QuerySample(doc, [target])).to_payload()
+        assert "volatile_key" not in payload
+        restored = StoredSample.from_payload(
+            {**payload, "volatile_key": "data_mark"}
+        ).restore()
         marked = [
             n
             for n in restored.doc.root.descendants()
-            if isinstance(n, TextNode) and n.meta.get("data_mark")
+            if isinstance(n, TextNode) and n.meta.get(VOLATILE_KEY)
         ]
         assert [n.text for n in marked] == ["churning data value"]
 

@@ -20,6 +20,7 @@ from repro import (
     parse_html,
 )
 from repro.api import remote as remote_module
+from repro.api import results as results_module
 from repro.api.remote import AuthError, RateLimitError, RemoteWrapperClient
 from repro.api.results import MAX_BATCH_ITEMS, FacadeError
 from repro.runtime.auth import QuotaConfig
@@ -363,10 +364,10 @@ class TestBatchPacking:
     ITEMS = [("shop/name", TITLE_PAGE), ("shop/price", OTHER_PAGE)] * 20
 
     def test_batches_are_packed_under_the_body_limit(self, monkeypatch):
-        monkeypatch.setattr(remote_module, "MAX_BODY_BYTES", self.LIMIT)
-        server = WrapperHTTPServer(
-            deployed_client(), NetConfig(max_body_bytes=self.LIMIT)
-        )
+        # One constant bounds both ends: the client packs under it and
+        # the server refuses bodies above it.
+        monkeypatch.setattr(results_module, "MAX_BODY_BYTES", self.LIMIT)
+        server = WrapperHTTPServer(deployed_client())
         op_extract_many = server._op_extract_many
         sizes = []
 
@@ -396,10 +397,8 @@ class TestBatchPacking:
         assert sizes == [7] * 5 + [5]
 
     def test_an_oversized_item_fails_only_its_own_slot(self, monkeypatch):
-        monkeypatch.setattr(remote_module, "MAX_BODY_BYTES", self.LIMIT)
-        server = WrapperHTTPServer(
-            deployed_client(), NetConfig(max_body_bytes=self.LIMIT)
-        )
+        monkeypatch.setattr(results_module, "MAX_BODY_BYTES", self.LIMIT)
+        server = WrapperHTTPServer(deployed_client())
         huge = TITLE_PAGE.replace("<body>", "<body>" + "<p>x</p>" * self.LIMIT)
         items = [*self.ITEMS[:2], ("shop/name", huge), *self.ITEMS[:2]]
         results = run_client_against(

@@ -46,6 +46,14 @@ class TestInduce:
         with pytest.raises(SystemExit):
             main(["induce", "--store", str(tmp_path), "--task", "no-such/task"])
 
+    def test_k_above_its_bound_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["induce", "--store", str(out), "--k", "65", "--limit", "1"])
+        assert exit_info.value.code == 2
+        assert "k must be an integer from 1 to 64, got 65" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_extracts_against_later_snapshot(self, artifact_dir, tmp_path, capsys):

@@ -162,7 +162,7 @@ class TestReinduce:
         doc0 = archive.snapshot(0)
         targets0 = archive.targets(doc0, corpus_task.task.role)
         config = InductionConfig(
-            k=5, allow_text_predicates=False, skipped_attributes=frozenset({"style", "id"})
+            k=5, beta=0.8, search="pruned", diversity=1.0, enable_sideways=False
         )
         result = WrapperInducer(k=5, config=config).induce_one(doc0, targets0)
         artifact = WrapperArtifact.from_induction(
@@ -173,8 +173,7 @@ class TestReinduce:
             role=corpus_task.task.role,
             config=config,
         )
-        # The complete config round-trips — including the Sec. 6.2
-        # no-text-predicates protocol and set-valued fields.
+        # The complete config round-trips: every field it has.
         assert artifact.induction_config() == config
         assert WrapperArtifact.loads(artifact.dumps()).induction_config() == config
         report, doc = first_drift(artifact, archive, corpus_task, DriftDetector(), 16)

@@ -11,6 +11,8 @@ import json
 import pytest
 
 from repro import Sample, WrapperClient, mark_volatile, parse_html
+from repro.api import results
+from repro.induction.config import MAX_K
 from repro.runtime.net import INDUCE_WORKERS, NetConfig, WrapperHTTPServer
 from repro.runtime.serve import ServingConfig
 
@@ -120,11 +122,11 @@ class TestFailurePaths:
 
         run(go())
 
-    def test_oversized_payload_is_413_without_reading_the_body(self):
-        config = NetConfig(max_body_bytes=1024)
+    def test_oversized_payload_is_413_without_reading_the_body(self, monkeypatch):
+        monkeypatch.setattr(results, "MAX_BODY_BYTES", 1024)
 
         async def go():
-            async with WrapperHTTPServer(WrapperClient(), config) as server:
+            async with WrapperHTTPServer(WrapperClient()) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 # Announce a huge body but never send it: the server must
@@ -744,9 +746,9 @@ class TestAccessLogWire:
 class TestConfig:
     def test_invalid_net_config_rejected(self):
         with pytest.raises(ValueError):
-            NetConfig(max_body_bytes=0)
-        with pytest.raises(ValueError):
             NetConfig(max_header_bytes=8)
+        with pytest.raises(TypeError):
+            NetConfig(max_body_bytes=1024)  # the protocol's limit, not an option
         with pytest.raises(TypeError):
             NetConfig(induce_workers=4)  # a fixed pool size, not an option
 
@@ -843,7 +845,7 @@ class TestInduceWire:
                         {
                             "site_key": "shop/pruned",
                             "samples": [sample],
-                            "options": {"search": "pruned", "prune_seed": 3},
+                            "options": {"search": "pruned", "diversity": 2.0},
                         },
                     ),
                 )
@@ -895,27 +897,34 @@ class TestInduceWire:
 
         run(go())
 
-    def test_resource_options_clamped_before_the_inducer(self):
-        """Work-sizing options from untrusted clients are clamped
-        server-side: beam/trial widths are bounded, and everything else
-        passes through untouched."""
-        sanitize = WrapperHTTPServer._sanitize_induce_options
-        sanitized = sanitize(
-            {
-                "beam_width": 10**6,
-                "prune_trials": 999,
-                "prune_seed": 7,
-                "search": "pruned",
-            }
-        )
-        assert sanitized["beam_width"] == 64
-        assert sanitized["prune_trials"] == 32
-        assert sanitized["prune_seed"] == 7
-        assert sanitized["search"] == "pruned"
-        # Non-integer values pass through for config validation to 422.
-        assert sanitize({"beam_width": 2.5}) == {"beam_width": 2.5}
-        assert sanitize(None) is None
-        assert sanitize({}) == {}
+    def test_k_outside_its_bound_is_422(self):
+        """``k`` is the one work size a client chooses: the config
+        refuses it above ``MAX_K`` before any induction runs."""
+        sample = self._wire_sample()
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                answers = []
+                for k in (65, 0):
+                    answers.append(
+                        await raw_request(
+                            host,
+                            port,
+                            post(
+                                "/induce",
+                                {"site_key": "shop/k", "samples": [sample], "k": k},
+                            ),
+                        )
+                    )
+                return answers, server.client.keys()
+
+        answers, keys = run(go())
+        for status, _, body in answers:
+            assert status == 422, body
+            assert body["code"] == "unprocessable"
+            assert "k must be an integer from 1 to 64" in body["error"]
+        assert "shop/k" not in keys
 
     def test_wrongly_typed_option_is_422_not_500(self):
         """Malformed ``/induce`` and ``/repair`` bodies get a typed 4xx:
@@ -939,7 +948,9 @@ class TestInduceWire:
             }
 
         table = [
+            (induce(options={"search": "pruned", "diversity": "2"}), 422, "diversity"),
             (induce(options={"search": "pruned", "beam_width": 2.5}), 422, "beam_width"),
+            (induce(k=65), 422, "k must be an integer from 1 to 64"),
             (induce(k="abc"), 400, "'k'"),
             (induce(k=None), 400, "'k'"),
             (induce(k=True), 400, "'k'"),
@@ -1013,61 +1024,111 @@ class TestInduceWire:
         assert "induce_ms" not in extract_record
 
 
-CEILINGS = WrapperHTTPServer._WIRE_OPTION_CEILINGS
-
-
 class TestDeployCeilings:
-    """``/deploy`` refuses an artifact whose config exceeds the ceilings
-    ``/induce`` clamps to: ``/repair`` re-induces under the deployed
-    config, so an unbounded one would make each repair's cost a number
-    the client chose."""
+    """``/deploy`` loads the artifact, and loading validates its config:
+    a malformed one, or a ``k`` above ``MAX_K`` (the one work size left
+    in a config, which every ``/repair`` re-induces under), is a 422.
+    Keys an older writer stored are ignored, so an artifact deployed
+    with raised generation caps repairs under the constants."""
 
-    def _artifact_payload(self, **config) -> dict:
+    def _artifact_payload(self, task_id: str = "shop/deployed", **config) -> dict:
         payload = deployed_client().artifact("shop/price").to_payload()
-        payload["task_id"] = "shop/deployed"
+        payload["task_id"] = task_id
         payload["config"] = {**payload["config"], "search": "pruned", **config}
         return payload
 
-    def _deploy(self, artifact: dict):
+    def _deploy(self, *artifacts: dict):
+        """Deploy each artifact and repair it when it deployed; returns
+        ``(status, body, repaired)`` of the first and every repaired
+        artifact's stored payload."""
+
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
                 host, port = server.address
-                status, _, body = await raw_request(
-                    host, port, post("/deploy", {"artifact": artifact})
-                )
-                repaired = None
-                if status == 200:
-                    repaired = await raw_request(
-                        host,
-                        port,
-                        post(
-                            "/repair",
-                            {"site_key": "shop/deployed", "html": TITLE_PAGE},
-                        ),
+                answers, stored = [], []
+                for artifact in artifacts:
+                    status, _, body = await raw_request(
+                        host, port, post("/deploy", {"artifact": artifact})
                     )
-                return status, body, repaired
+                    repaired = None
+                    if status == 200:
+                        repaired = await raw_request(
+                            host,
+                            port,
+                            post(
+                                "/repair",
+                                {"site_key": artifact["task_id"], "html": TITLE_PAGE},
+                            ),
+                        )
+                        stored.append(
+                            server.client.artifact(artifact["task_id"]).to_payload()
+                        )
+                    answers.append((status, body, repaired))
+                return answers, stored
 
-        return run(go())
+        answers, stored = run(go())
+        status, body, repaired = answers[0]
+        return status, body, repaired, stored
 
-    @pytest.mark.parametrize("key,ceiling", CEILINGS.items())
+    @pytest.mark.parametrize("key,ceiling", [("k", MAX_K)])
     def test_config_at_the_ceiling_deploys_and_repairs(self, key, ceiling):
-        status, body, repaired = self._deploy(self._artifact_payload(**{key: ceiling}))
+        status, body, repaired, _ = self._deploy(
+            self._artifact_payload(**{key: ceiling})
+        )
         assert status == 200, body
         assert body["site_key"] == "shop/deployed"
         repair_status, _, repair_body = repaired
         assert repair_status == 200, repair_body
 
-    @pytest.mark.parametrize("key,ceiling", CEILINGS.items())
+    @pytest.mark.parametrize("key,ceiling", [("k", MAX_K)])
     def test_config_above_the_ceiling_is_422(self, key, ceiling):
-        status, body, repaired = self._deploy(
+        status, body, repaired, _ = self._deploy(
             self._artifact_payload(**{key: ceiling + 1})
         )
         assert status == 422, body
         assert body["code"] == "unprocessable"
-        assert f"{key}={ceiling + 1}" in body["error"]
+        assert f"got {ceiling + 1}" in body["error"]
         assert repaired is None
 
     def test_invalid_config_is_422_not_500(self):
-        status, body, _ = self._deploy(self._artifact_payload(prune_trials="32"))
+        payload = self._artifact_payload()
+        payload["config"] = "pruned"  # not an object
+        status, body, _, _ = self._deploy(payload)
         assert status == 422, body
         assert body["code"] == "unprocessable"
+
+    @pytest.mark.parametrize(
+        "key,bad",
+        [("k", "10"), ("beta", "x"), ("enable_sideways", "no"), ("k", 1000)],
+        ids=["k-str", "beta-str", "enable_sideways-str", "k-1000"],
+    )
+    def test_malformed_config_is_422(self, key, bad):
+        status, body, repaired, _ = self._deploy(self._artifact_payload(**{key: bad}))
+        assert status == 422, body
+        assert body["code"] == "unprocessable"
+        assert key in body["error"]
+        assert repaired is None
+
+    def test_raised_caps_repair_under_the_constants(self):
+        raised = self._artifact_payload(
+            max_sideways_patterns=10000,
+            max_sideways_each_side=10000,
+            max_node_patterns=10000,
+        )
+        plain = self._artifact_payload("shop/plain")
+        status, body, repaired, (raised_after, plain_after) = self._deploy(
+            raised, plain
+        )
+        assert status == 200, body
+        assert repaired[0] == 200, repaired
+        assert raised_after["generation"] == 1
+        assert sorted(raised_after["config"]) == [
+            "beta",
+            "diversity",
+            "enable_sideways",
+            "k",
+            "search",
+        ]
+        assert raised_after["config"] == plain_after["config"]
+        assert raised_after["queries"] == plain_after["queries"]
+        assert raised_after["ensemble"] == plain_after["ensemble"]
