@@ -24,9 +24,7 @@ def test_ablation_decay_factor(benchmark, emit):
     def sweep():
         rows = {}
         for delta in DELTAS:
-            inducer = WrapperInducer(
-                k=10, params=replace(ScoringParams(), decay=delta)
-            )
+            inducer = WrapperInducer(params=replace(ScoringParams(), decay=delta))
             study = run_study(tasks, n_snapshots=60, inducer=inducer)
             rows[delta] = study.summary("generated")
         return rows

@@ -31,7 +31,7 @@ def test_ablation_penalties(benchmark, emit):
         for label, overrides in VARIANTS.items():
             params = replace(ScoringParams(), **overrides)
             study = run_study(
-                tasks, n_snapshots=60, inducer=WrapperInducer(k=10, params=params)
+                tasks, n_snapshots=60, inducer=WrapperInducer(params=params)
             )
             out[label] = study.summary("generated")
         return out

@@ -19,7 +19,7 @@ from repro.sites import multi_node_tasks
 
 def accuracy_with(tasks, enable_sideways):
     config = replace(InductionConfig(), enable_sideways=enable_sideways)
-    inducer = WrapperInducer(k=10, config=config)
+    inducer = WrapperInducer(config)
     exact = 0
     for corpus_task in tasks:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

@@ -30,7 +30,7 @@ def survival_days(select, archive, role, n_snapshots):
 
 
 def run(tasks, n_snapshots=90):
-    inducer = WrapperInducer(k=10)
+    inducer = WrapperInducer()
     single_days, ensemble_days = [], []
     for corpus_task in tasks:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=n_snapshots)

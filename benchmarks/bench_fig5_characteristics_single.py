@@ -16,7 +16,7 @@ from repro.sites import single_node_tasks
 
 
 def induce_top1_queries(tasks):
-    inducer = WrapperInducer(k=10)
+    inducer = WrapperInducer()
     queries = []
     for corpus_task in tasks:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

@@ -15,7 +15,7 @@ from repro.sites import multi_node_tasks
 
 
 def induce_top1_queries(tasks):
-    inducer = WrapperInducer(k=10)
+    inducer = WrapperInducer()
     queries = []
     for corpus_task in tasks:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

@@ -139,8 +139,8 @@ def test_induction_bench(benchmark, emit):
     repeat = scale(2, 3)
     exhaustive_config = InductionConfig()
     pruned_config = dataclasses.replace(exhaustive_config, search="pruned")
-    exhaustive = WrapperInducer(k=10, config=exhaustive_config)
-    pruned = WrapperInducer(k=10, config=pruned_config)
+    exhaustive = WrapperInducer(exhaustive_config)
+    pruned = WrapperInducer(pruned_config)
 
     doc = make_large_page()
     targets = price_targets(doc)

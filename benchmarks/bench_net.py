@@ -27,8 +27,10 @@ the ratio is new relative to the committed baseline).
 A raw-speed-tier ratio rides along, self-arming (asserted only on
 multi-core hosts; 1-CPU containers record it with a per-metric
 ``gate_applies`` of ``false``): **cached_page_vs_cold** — the
-in-process stream, parse cache on vs. off: the win of the
-content-hash :class:`~repro.runtime.serve.ParseCache`.
+in-process stream, parse cache on vs. off (its budget,
+:data:`~repro.runtime.serve.PARSE_CACHE_BYTES`, set to 0 for the cold
+pass): the win of the content-hash
+:class:`~repro.runtime.serve.ParseCache`.
 Required ≥ 2.0× when the gate arms.
 """
 
@@ -45,7 +47,7 @@ from bench_runtime import build_fleet, timeit
 from conftest import scale
 
 from repro.api import RemoteWrapperClient, WrapperClient
-from repro.runtime import PageJob, ServingConfig, serve_jobs
+from repro.runtime import PageJob, serve, serve_jobs
 from repro.runtime.auth import ApiKeyTable, QuotaConfig
 from repro.runtime.net import NetConfig, WrapperHTTPServer
 from repro.api.results import extraction_wrappers
@@ -69,7 +71,6 @@ def hardened_config() -> NetConfig:
     """Auth + limiter enabled, quotas far above the bench's offered
     load — measures the admission-path overhead, never throttling."""
     return NetConfig(
-        serving=ServingConfig(),
         auth=ApiKeyTable.from_lines([f"{BENCH_KEY} *"]),
         quota=QuotaConfig(rate=1e6, burst=10**6, max_inflight=CONCURRENCY * 8),
     )
@@ -94,9 +95,7 @@ class ServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = WrapperHTTPServer(
-            self.client, self.config or NetConfig(serving=ServingConfig())
-        )
+        server = WrapperHTTPServer(self.client, self.config)
         self.address = await server.start()
         self._ready.set()
         try:
@@ -170,9 +169,7 @@ def concurrent_http(
         return list(pool.map(one, requests))
 
 
-def inprocess_serving(
-    client: WrapperClient, requests, config: ServingConfig | None = None
-) -> list:
+def inprocess_serving(client: WrapperClient, requests) -> list:
     """The same stream through the async serving layer, no sockets."""
     jobs = []
     for site_key, html in requests:
@@ -184,9 +181,18 @@ def inprocess_serving(
                 wrappers=tuple(extraction_wrappers(artifact)),
             )
         )
-    return asyncio.run(
-        serve_jobs(jobs, config or ServingConfig(), concurrency=CONCURRENCY)
-    )
+    return asyncio.run(serve_jobs(jobs, concurrency=CONCURRENCY))
+
+
+def cold_inprocess_serving(client: WrapperClient, requests) -> list:
+    """The in-process stream with a zero parse-cache budget, so every
+    request parses its page; the budget is restored afterwards."""
+    budget = serve.PARSE_CACHE_BYTES
+    serve.PARSE_CACHE_BYTES = 0
+    try:
+        return inprocess_serving(client, requests)
+    finally:
+        serve.PARSE_CACHE_BYTES = budget
 
 
 def bulk_extract(address, requests) -> list:
@@ -201,8 +207,6 @@ def test_net_bench(benchmark, emit):
     client, artifacts, requests = build_requests(n_snapshots)
 
     cpus = len(os.sched_getaffinity(0))
-    cold_config = ServingConfig(parse_cache_bytes=0)
-    warm_config = ServingConfig()
 
     with ServerThread(client) as server:
         # Correctness first: the concurrent stream answers exactly what
@@ -230,10 +234,10 @@ def test_net_bench(benchmark, emit):
                 lambda: inprocess_serving(client, requests)
             )
             results["cold_cache_inprocess_s"] = timeit(
-                lambda: inprocess_serving(client, requests, cold_config)
+                lambda: cold_inprocess_serving(client, requests)
             )
             results["warm_cache_inprocess_s"] = timeit(
-                lambda: inprocess_serving(client, requests, warm_config)
+                lambda: inprocess_serving(client, requests)
             )
             return results
 

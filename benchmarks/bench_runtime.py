@@ -71,7 +71,7 @@ def per_pair_records(jobs):
 
 def build_fleet(n_snapshots: int):
     """Artifacts for every single-node corpus task + served page HTML."""
-    inducer = WrapperInducer(k=10)
+    inducer = WrapperInducer()
     artifacts, page_html = [], {}
     for corpus_task in single_node_tasks():
         spec, task = corpus_task.spec, corpus_task.task

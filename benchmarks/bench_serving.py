@@ -19,11 +19,7 @@ import pathlib
 from bench_runtime import build_fleet, timeit
 from conftest import scale
 
-from repro.runtime import (
-    PageJob,
-    ServingConfig,
-    serve_jobs,
-)
+from repro.runtime import PageJob, serve_jobs
 from repro.runtime.extractor import extract_records
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,8 +58,7 @@ def serial_calls(requests: list[PageJob]) -> list:
 
 
 def serve_stream(requests: list[PageJob]):
-    config = ServingConfig(max_pending=64)
-    return asyncio.run(serve_jobs(requests, config, concurrency=CONCURRENCY))
+    return asyncio.run(serve_jobs(requests, concurrency=CONCURRENCY))
 
 
 def test_serving_bench(benchmark, emit):

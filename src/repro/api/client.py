@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import reprlib
 import threading
 from typing import Optional, Sequence, Union
 
@@ -245,9 +246,7 @@ class WrapperClient:
         k: int = 10,
         ensemble_size: int = 3,
         max_queries: int = 10,
-        config: Optional[InductionConfig] = None,
         role: str = "",
-        provenance: Optional[dict] = None,
         options: Optional[dict] = None,
     ) -> WrapperHandle:
         """Induce and deploy a wrapper for ``site_key``.
@@ -265,18 +264,18 @@ class WrapperClient:
         or ``max_queries`` that is not an integer >= 1.
         """
         if mode not in ("node", "record", "ensemble"):
-            raise FacadeError(f"unknown induction mode {mode!r}")
+            raise FacadeError(f"unknown induction mode {reprlib.repr(mode)}")
         for name, value in (
             ("ensemble_size", ensemble_size),
             ("max_queries", max_queries),
         ):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise FacadeError(f"{name} must be an integer >= 1, got {value!r}")
+                raise FacadeError(
+                    f"{name} must be an integer >= 1, got {reprlib.repr(value)}"
+                )
         site_key = self._qualify(site_key)
         try:
-            config = config_with_options(
-                config or InductionConfig(k=k), dict(options or {})
-            )
+            config = config_with_options(InductionConfig(k=k), dict(options or {}))
         except (TypeError, ValueError) as exc:
             raise FacadeError(str(exc)) from exc
         facade_samples = coerce_samples(samples)
@@ -289,7 +288,7 @@ class WrapperClient:
                     )
                 (sample,) = facade_samples
                 examples = sample.as_record_examples()
-                inducer = RelativeWrapperInducer(k=config.k, config=config)
+                inducer = RelativeWrapperInducer(config)
                 result, field_queries = inducer.induce_ranked(sample.doc, examples)
                 query_samples = [QuerySample(sample.doc, sample.targets)]
                 meta["fields"] = {
@@ -297,9 +296,7 @@ class WrapperClient:
                 }
             else:
                 query_samples = [s.as_query_sample() for s in facade_samples]
-                result = WrapperInducer(k=config.k, config=config).induce(
-                    query_samples
-                )
+                result = WrapperInducer(config).induce(query_samples)
             stats = getattr(result, "stats", None)
             if stats is not None:
                 # Deterministic counters only — identical on every
@@ -317,7 +314,7 @@ class WrapperClient:
                 role=role,
                 ensemble_size=ensemble_size,
                 max_queries=max_queries,
-                provenance={**(provenance or {}), FACADE_KEY: meta},
+                provenance={FACADE_KEY: meta},
                 config=config,
             )
         except FacadeError:

@@ -66,7 +66,7 @@ def build_noise_samples(
     from repro.evolution.archive import SyntheticArchive
 
     tasks = list(tasks) if tasks is not None else multi_node_tasks()
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     samples: list[NoiseSample] = []
     for corpus_task in tasks:
         if len(samples) >= limit:
@@ -100,7 +100,7 @@ def noise_resistance_curve(
     seed: int = 0,
 ) -> list[NoisePoint]:
     """One Fig. 7 curve: identical-result rate per intensity."""
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     points = []
     for intensity in intensities:
         identical = within = total = 0
@@ -171,7 +171,7 @@ def run_ner_study(
     """The Sec. 6.4 real-life-noise experiment on listing pages."""
     from repro.sites.listings import DEFAULT_LIST_SIZES
 
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     ner = SimulatedNER(profile)
     results = []
     pages = listing_pages(

@@ -129,7 +129,7 @@ def run_task(
     if not targets0:
         raise ValueError(f"task {task.task_id} has no targets at snapshot 0")
 
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     result = inducer.induce_one(doc0, targets0)
     if result.best is None:
         raise ValueError(f"induction produced no wrapper for {task.task_id}")

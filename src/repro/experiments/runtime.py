@@ -35,7 +35,7 @@ def measure_induction_runtime(
 ) -> RuntimeStats:
     tasks = list(tasks) if tasks is not None else single_node_tasks(limit=limit)
     tasks = tasks[:limit]
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     timings: list[tuple[str, float]] = []
     for corpus_task in tasks:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

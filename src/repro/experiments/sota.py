@@ -72,7 +72,7 @@ def dalvi_comparison(
     role = "director"
     total_needed = max(periods) + n_snapshots * snapshot_stride + snapshot_stride
     archive = SyntheticArchive(spec, n_snapshots=total_needed)
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     treeedit = TreeEditInducer(model=TreeEditModel())
 
     results = []
@@ -159,7 +159,7 @@ def weir_comparison(
     inducer: Optional[WrapperInducer] = None,
 ) -> WeirComparisonResult:
     """The WEIR comparison on same-template hotel pages."""
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     roles = ["hotel", "price"]
     ours_top10, weir_avgs, ours_best, weir_best, ours_top1 = [], [], [], [], []
     ours_full, weir_full, weir_counts = [], [], []

@@ -20,6 +20,7 @@ used in string predicates.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -84,7 +85,7 @@ def config_with_options(config: "InductionConfig", options: dict) -> "InductionC
     unknown = set(options) - OPTION_FIELDS
     if unknown:
         raise ValueError(
-            f"unknown induction options: {sorted(unknown)} "
+            f"unknown induction options: {reprlib.repr(sorted(unknown))} "
             f"(supported: {sorted(OPTION_FIELDS)})"
         )
     return replace(config, **options) if options else config
@@ -117,22 +118,29 @@ class InductionConfig:
     def __post_init__(self) -> None:
         k = self.k
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_K:
-            raise ValueError(f"k must be an integer from 1 to {MAX_K}, got {k!r}")
+            raise ValueError(
+                f"k must be an integer from 1 to {MAX_K}, got {reprlib.repr(k)}"
+            )
         beta = _as_float(self.beta)
         if not (math.isfinite(beta) and beta > 0):
-            raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
+            raise ValueError(
+                f"beta must be a finite number > 0, got {reprlib.repr(self.beta)}"
+            )
         if self.search not in SEARCH_MODES:
             raise ValueError(
-                f"search must be one of {SEARCH_MODES}, got {self.search!r}"
+                f"search must be one of {SEARCH_MODES}, "
+                f"got {reprlib.repr(self.search)}"
             )
         diversity = _as_float(self.diversity)
         if not diversity >= 0:
             raise ValueError(
-                f"diversity must be a number >= 0, got {self.diversity!r}"
+                f"diversity must be a number >= 0, "
+                f"got {reprlib.repr(self.diversity)}"
             )
         if not isinstance(self.enable_sideways, bool):
             raise ValueError(
-                f"enable_sideways must be a bool, got {self.enable_sideways!r}"
+                f"enable_sideways must be a bool, "
+                f"got {reprlib.repr(self.enable_sideways)}"
             )
         object.__setattr__(self, "diversity", diversity)
 

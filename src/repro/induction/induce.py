@@ -216,7 +216,7 @@ def induce(
 class WrapperInducer:
     """Convenience facade bundling configuration and scoring parameters.
 
-    >>> inducer = WrapperInducer(k=10)
+    >>> inducer = WrapperInducer()
     >>> result = inducer.induce_one(doc, targets)      # doctest: +SKIP
     >>> str(result.best.query)                         # doctest: +SKIP
     'descendant::div[starts-with(.,"Director:")]/descendant::span[@itemprop="name"]'
@@ -224,16 +224,10 @@ class WrapperInducer:
 
     def __init__(
         self,
-        k: int = 10,
         config: Optional[InductionConfig] = None,
         params: Optional[ScoringParams] = None,
     ) -> None:
-        base = config or InductionConfig()
-        if base.k != k:
-            from dataclasses import replace
-
-            base = replace(base, k=k)
-        self.config = base
+        self.config = config or InductionConfig()
         self.params = params or ScoringParams()
 
     def induce(self, samples: Sequence[QuerySample]) -> InductionResult:

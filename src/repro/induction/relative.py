@@ -25,7 +25,7 @@ from repro.induction.induce import InductionResult, induce
 from repro.induction.samples import QuerySample
 from repro.scoring.params import ScoringParams
 from repro.xpath.ast import Query
-from repro.xpath.evaluator import evaluate
+from repro.xpath.compile import evaluate_compiled
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class RecordWrapper:
     def extract(self, doc: Document) -> list[dict[str, Optional[Node]]]:
         """One record per anchor match; missing fields map to None."""
         records = []
-        for anchor in evaluate(self.anchor_query, doc.root, doc):
+        for anchor in evaluate_compiled(self.anchor_query, doc.root, doc):
             record: dict[str, Optional[Node]] = {"_anchor": anchor}
             for name, query in self.field_queries.items():
-                matches = evaluate(query, anchor, doc)
+                matches = evaluate_compiled(query, anchor, doc)
                 record[name] = matches[0] if matches else None
             records.append(record)
         return records
@@ -73,12 +73,10 @@ class RelativeWrapperInducer:
 
     def __init__(
         self,
-        k: int = 10,
         config: Optional[InductionConfig] = None,
         params: Optional[ScoringParams] = None,
     ) -> None:
-        self.k = k
-        self.config = config or InductionConfig(k=k)
+        self.config = config or InductionConfig()
         self.params = params or ScoringParams()
 
     def induce_ranked(

@@ -75,7 +75,6 @@ from repro.runtime.serve import (
     ParseCacheInfo,
     RequestError,
     ServerStats,
-    ServingConfig,
     serve_jobs,
     serve_jobs_sync,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "RankedQuery",
     "RequestError",
     "ServerStats",
-    "ServingConfig",
     "ShardedArtifactStore",
     "StoreError",
     "StoredSample",

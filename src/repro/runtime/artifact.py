@@ -36,6 +36,7 @@ sharded store (:mod:`repro.runtime.store`) owns every artifact file.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from typing import Optional, Sequence
 
@@ -99,7 +100,9 @@ class RankedQuery:
                 fn=int(payload["fn"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"malformed ranked query payload: {payload!r}") from exc
+            raise ArtifactError(
+                f"malformed ranked query payload: {reprlib.repr(payload)}"
+            ) from exc
 
 
 def config_to_payload(config: InductionConfig) -> dict:

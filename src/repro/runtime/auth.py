@@ -14,7 +14,7 @@ without a server:
   key names the one tenant namespace it may touch (``*`` for admin
   keys that may touch every namespace);
 * :class:`TenantRateLimiter` — per-tenant token buckets with **bounded
-  state**: the tenant → bucket map is LRU-evicted at ``max_tenants``,
+  state**: the tenant → bucket map is LRU-evicted at :data:`MAX_TENANTS`,
   so a scan of millions of distinct (dead) tenant names cannot grow
   server memory — the classic rate-limiter leak the related-repo
   catalogue warns about;
@@ -42,8 +42,9 @@ from typing import IO, Iterable, Optional
 #: A key granting this tenant may address *every* namespace (admin).
 WILDCARD_TENANT = "*"
 
-#: Default bound on per-tenant limiter / metrics state.
-DEFAULT_MAX_TENANTS = 1024
+#: Bound on per-tenant limiter / metrics state: tenants past it are
+#: evicted least recently seen first.
+MAX_TENANTS = 1024
 
 
 class AuthConfigError(ValueError):
@@ -137,13 +138,13 @@ class QuotaConfig:
     requests one tenant may hold in flight at once (0 = unlimited) —
     this rides *in front of* the extraction server's admission queue,
     so one tenant saturating its quota suspends only itself, never the
-    shared queue.  ``max_tenants`` bounds limiter/metrics state.
+    shared queue.  Limiter and metrics state is bounded by the constant
+    :data:`MAX_TENANTS`, not by tenant policy.
     """
 
     rate: float = 0.0
     burst: int = 0
     max_inflight: int = 0
-    max_tenants: int = DEFAULT_MAX_TENANTS
 
     def __post_init__(self) -> None:
         if self.rate < 0:
@@ -152,8 +153,6 @@ class QuotaConfig:
             raise AuthConfigError("burst must be >= 0")
         if self.max_inflight < 0:
             raise AuthConfigError("max_inflight must be >= 0")
-        if self.max_tenants < 1:
-            raise AuthConfigError("max_tenants must be >= 1")
 
     @property
     def effective_burst(self) -> float:
@@ -174,23 +173,20 @@ class TenantRateLimiter:
     ``acquire(tenant)`` returns ``(True, 0.0)`` when a token was
     available, else ``(False, retry_after_s)`` — the seconds until the
     bucket refills one token, which the server surfaces verbatim as
-    ``Retry-After``.  The bucket map never exceeds ``max_tenants``
+    ``Retry-After``.  The bucket map never exceeds :data:`MAX_TENANTS`
     entries: the least-recently-seen tenant is evicted first, so a
     stream of distinct dead tenants recycles a fixed pool instead of
     growing without bound (an evicted tenant that returns simply starts
     from a full bucket — strictly more permissive, never less).
     """
 
-    def __init__(self, rate: float, burst: float, max_tenants: int = DEFAULT_MAX_TENANTS):
+    def __init__(self, rate: float, burst: float):
         if rate <= 0:
             raise AuthConfigError("rate must be > 0 for a limiter")
         if burst <= 0:
             raise AuthConfigError("burst must be > 0 for a limiter")
-        if max_tenants < 1:
-            raise AuthConfigError("max_tenants must be >= 1")
         self.rate = float(rate)
         self.burst = float(burst)
-        self.max_tenants = int(max_tenants)
         self.evictions = 0
         # tenant -> [tokens, last_refill_monotonic]; ordered by recency.
         self._buckets: "OrderedDict[str, list[float]]" = OrderedDict()
@@ -204,7 +200,7 @@ class TenantRateLimiter:
         bucket = self._buckets.get(tenant)
         if bucket is None:
             bucket = self._buckets[tenant] = [self.burst, now]
-            while len(self._buckets) > self.max_tenants:
+            while len(self._buckets) > MAX_TENANTS:
                 self._buckets.popitem(last=False)
                 self.evictions += 1
         else:
@@ -264,8 +260,7 @@ class NetMetrics:
     counted so a scrape can tell the map was truncated.
     """
 
-    def __init__(self, max_tenants: int = DEFAULT_MAX_TENANTS):
-        self.max_tenants = int(max_tenants)
+    def __init__(self) -> None:
         self.requests_total = 0
         self.by_status: dict[int, int] = {}
         self.tenant_evictions = 0
@@ -277,7 +272,7 @@ class NetMetrics:
         counters = self._tenants.get(tenant)
         if counters is None:
             counters = self._tenants[tenant] = _TenantCounters()
-            while len(self._tenants) > self.max_tenants:
+            while len(self._tenants) > MAX_TENANTS:
                 self._tenants.popitem(last=False)
                 self.tenant_evictions += 1
         else:
@@ -305,7 +300,7 @@ class NetMetrics:
             },
             "tenant_state": {
                 "tracked": len(self._tenants),
-                "cap": self.max_tenants,
+                "cap": MAX_TENANTS,
                 "evictions": self.tenant_evictions,
             },
         }
@@ -368,8 +363,8 @@ __all__ = [
     "AccessLog",
     "ApiKeyTable",
     "AuthConfigError",
-    "DEFAULT_MAX_TENANTS",
     "InflightGauge",
+    "MAX_TENANTS",
     "NetMetrics",
     "QuotaConfig",
     "TenantRateLimiter",

@@ -54,7 +54,6 @@ from repro.runtime.corpus import induce_corpus_task
 from repro.runtime.drift import DriftConfig, reinduce
 from repro.runtime.extractor import extract_records, jobs_for_artifacts
 from repro.runtime.fleet import SweepConfig, sweep_store, sweep_wrapper
-from repro.runtime.serve import ServingConfig
 from repro.runtime.store import DEFAULT_SHARDS, ShardedArtifactStore, StoreError, migrate_store
 from repro.sites.corpus import CorpusTask, multi_node_tasks, single_node_tasks
 
@@ -179,7 +178,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     # count; a new store gets --shards (or the default).
     store = _open_store(args.store, create=True, n_shards=args.shards)
 
-    inducer = WrapperInducer(k=args.k, config=config)
+    inducer = WrapperInducer(config)
     started = time.perf_counter()
     written = 0
     for corpus_task in tasks:
@@ -371,7 +370,6 @@ def _serve_hardening(args: argparse.Namespace):
                 rate=args.rate_limit,
                 burst=args.burst,
                 max_inflight=args.max_inflight,
-                max_tenants=args.limiter_tenants,
             )
         except AuthConfigError as exc:
             raise SystemExit(str(exc))
@@ -398,12 +396,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         epoch = args.epoch
     else:
         epoch = client.store.epoch if client.store is not None else 0
-    config = NetConfig(
-        serving=ServingConfig(max_pending=args.max_pending),
-        auth=auth,
-        quota=quota,
-        access_log=access_log,
-    )
+    config = NetConfig(auth=auth, quota=quota, access_log=access_log)
 
     def ready(bound_host: str, bound_port: int) -> None:
         backend = "store " + str(client.store.root) if client.store else "in-memory registry"
@@ -661,13 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on one tenant's concurrent in-flight requests (0 = unlimited)",
     )
     serve.add_argument(
-        "--limiter-tenants",
-        type=_COUNT,
-        default=1024,
-        metavar="N",
-        help="LRU bound on per-tenant limiter/metrics state (default: 1024)",
-    )
-    serve.add_argument(
         "--access-log",
         metavar="FILE",
         default="",
@@ -676,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
             "status, latency_ms)"
         ),
     )
-    serve.add_argument("--max-pending", type=_COUNT, default=64, help="admission queue bound")
     serve.set_defaults(func=cmd_serve)
 
     sweep = sub.add_parser(

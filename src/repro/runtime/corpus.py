@@ -37,11 +37,11 @@ def induce_corpus_task(
 
     Returns ``(result, sample)``, or ``None`` when the task has no
     targets on the snapshot-0 page.  The default inducer is the
-    evaluation protocol's ``WrapperInducer(k=10)``.
+    evaluation protocol's ``WrapperInducer()`` (K = 10).
     """
     annotation = snapshot0_annotation(corpus_task)
     if annotation is None:
         return None
     doc, targets = annotation
-    inducer = inducer or WrapperInducer(k=10)
+    inducer = inducer or WrapperInducer()
     return inducer.induce_one(doc, targets), QuerySample(doc, targets)

@@ -188,8 +188,7 @@ def reinduce(
         # Repair under the settings the wrapper was originally induced
         # with — a different k or volatile key would rank a different
         # candidate pool than the deployment signed off on.
-        config = artifact.induction_config()
-        inducer = WrapperInducer(k=config.k, config=config)
+        inducer = WrapperInducer(artifact.induction_config())
     result = inducer.induce(samples)
     if result.best is None:
         raise ArtifactError(f"{artifact.task_id}: re-induction produced no wrapper")

@@ -35,11 +35,12 @@ keeps every remote/router backend parity-exact.  Per-item gates
 authentication (401) and a request of more than
 :data:`~repro.api.results.MAX_BATCH_ITEMS` items (413, answered before
 any item runs) reject the whole request.  At most
-``ServingConfig.max_pending`` items of one request are in flight at a
-time, and never more than the per-tenant in-flight quota, so a batch
-does not throttle its own items.  It is the one transport of every
-remote ``extract_many``: clients pack a batch into requests under
-:data:`~repro.api.results.MAX_BODY_BYTES` and ``MAX_BATCH_ITEMS``.
+:data:`~repro.runtime.serve.MAX_PENDING` items of one request are in
+flight at a time, and never more than the per-tenant in-flight quota,
+so a batch does not throttle its own items.  It is the one transport
+of every remote ``extract_many``: clients pack a batch into requests
+under :data:`~repro.api.results.MAX_BODY_BYTES` and
+``MAX_BATCH_ITEMS``.
 
 Traffic hardening (ROADMAP's "safe to point the internet at", all
 **off by default** — a no-auth launch behaves exactly as before):
@@ -78,7 +79,8 @@ Request routing by cost:
   or other connections.
 
 Failure containment: malformed JSON or a wrongly typed field → 400,
-unknown wrapper → 404, oversized body → 413 (bounded by
+unknown wrapper → 404, a request head over :data:`MAX_HEADER_BYTES`
+→ 431, oversized body → 413 (bounded by
 :data:`~repro.api.results.MAX_BODY_BYTES` *before* the body is read,
 and for ``/extract_many`` by ``MAX_BATCH_ITEMS``), a key placing
 into a shard this host does not own → 421 with code
@@ -101,7 +103,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Awaitable, Callable, Optional
 from urllib.parse import unquote
 
@@ -121,11 +123,11 @@ from repro.cluster.placement import (
     qualify_key,
     tenant_of,
 )
+from repro.runtime import serve
 from repro.runtime.artifact import ArtifactError
 from repro.runtime.auth import (
     AccessLog,
     ApiKeyTable,
-    DEFAULT_MAX_TENANTS,
     InflightGauge,
     NetMetrics,
     QuotaConfig,
@@ -133,7 +135,7 @@ from repro.runtime.auth import (
     WILDCARD_TENANT,
 )
 from repro.runtime.extractor import PageJob
-from repro.runtime.serve import AsyncExtractionServer, RequestError, ServingConfig
+from repro.runtime.serve import AsyncExtractionServer, RequestError
 from repro.runtime.store import StoreError
 
 #: HTTP status → reason phrases the server emits.  ``_reason`` falls
@@ -166,34 +168,31 @@ def _reason(status: int) -> str:
 #: pool that extract/deploy/store loads run on.
 INDUCE_WORKERS = 2
 
+#: Bound on a request head (request line plus headers); a longer head
+#: is answered 431 and the connection closed.  Bodies are bounded by
+#: the protocol's :data:`~repro.api.results.MAX_BODY_BYTES`, the limit
+#: :class:`~repro.api.remote.RemoteWrapperClient` packs its requests
+#: under.
+MAX_HEADER_BYTES = 32768
+
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Network front-end limits.
+    """Deployment settings of the network front-end, all off by default
+    (a no-auth launch is fully backward compatible).
 
-    ``max_header_bytes`` bounds the request head; bodies are bounded by
-    the protocol's :data:`~repro.api.results.MAX_BODY_BYTES`, the limit
-    :class:`~repro.api.remote.RemoteWrapperClient` packs its requests
-    under.  ``serving`` configures the shared extraction server behind
-    ``extract``/``check``.
-
-    The hardening knobs all default to off (a no-auth launch is fully
-    backward compatible): ``auth`` is the per-tenant API key table
-    (``None`` = unauthenticated), ``quota`` the per-tenant rate/
-    in-flight limits (``None`` or a disabled config = unlimited), and
-    ``access_log`` a :class:`~repro.runtime.auth.AccessLog` receiving
-    one JSONL record per answered request.
+    ``auth`` is the per-tenant API key table (``None`` =
+    unauthenticated), ``quota`` the per-tenant rate/in-flight limits
+    (``None`` or a disabled config = unlimited), and ``access_log`` a
+    :class:`~repro.runtime.auth.AccessLog` receiving one JSONL record
+    per answered request.  Sizes are module constants:
+    :data:`MAX_HEADER_BYTES` here, and the serving layer's in
+    :mod:`repro.runtime.serve`.
     """
 
-    max_header_bytes: int = 32768
-    serving: ServingConfig = field(default_factory=ServingConfig)
     auth: Optional[ApiKeyTable] = None
     quota: Optional[QuotaConfig] = None
     access_log: Optional[AccessLog] = None
-
-    def __post_init__(self) -> None:
-        if self.max_header_bytes < 256:
-            raise ValueError("max_header_bytes must be >= 256")
 
 
 class _HTTPError(Exception):
@@ -298,15 +297,11 @@ class WrapperHTTPServer:
         # Hardening state (None everywhere = the seed-era open server).
         self._auth = self.config.auth
         quota = self.config.quota
-        self.metrics = NetMetrics(
-            max_tenants=quota.max_tenants if quota is not None else DEFAULT_MAX_TENANTS
-        )
+        self.metrics = NetMetrics()
         self._limiter: Optional[TenantRateLimiter] = None
         self._inflight: Optional[InflightGauge] = None
         if quota is not None and quota.rate > 0:
-            self._limiter = TenantRateLimiter(
-                quota.rate, quota.effective_burst, quota.max_tenants
-            )
+            self._limiter = TenantRateLimiter(quota.rate, quota.effective_burst)
         if quota is not None and quota.max_inflight > 0:
             self._inflight = InflightGauge(quota.max_inflight)
         self._access_log = self.config.access_log
@@ -460,7 +455,7 @@ class WrapperHTTPServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._serving = AsyncExtractionServer(self.config.serving)
+        self._serving = AsyncExtractionServer()
         await self._serving.start()
         self._induce_pool = ThreadPoolExecutor(
             max_workers=INDUCE_WORKERS, thread_name_prefix="repro-induce"
@@ -469,7 +464,7 @@ class WrapperHTTPServer:
             self._handle_connection,
             host,
             port,
-            limit=self.config.max_header_bytes + 1024,
+            limit=MAX_HEADER_BYTES + 1024,
         )
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
@@ -909,7 +904,7 @@ class WrapperHTTPServer:
     ):
         """Batch extraction: one request, per-item result slots.
 
-        Items run concurrently, at most ``max_pending`` and at most the
+        Items run concurrently, at most ``MAX_PENDING`` and at most the
         per-tenant in-flight cap at a time (a page repeated across items
         is parsed once and then found in the serving layer's parse
         cache), but slots always come back in item order.  Every
@@ -960,7 +955,7 @@ class WrapperHTTPServer:
 
         # Never wider than the tenant in-flight cap: a wider batch would
         # refuse its own items with 429.
-        width = min(self.config.serving.max_pending, len(items))
+        width = min(serve.MAX_PENDING, len(items))
         if self._inflight is not None:
             width = min(width, self._inflight.max_inflight)
         await asyncio.gather(*(worker() for _ in range(width)))

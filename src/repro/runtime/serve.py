@@ -8,25 +8,28 @@ each asking "run this wrapper on this page, now".
 :class:`AsyncExtractionServer` answers that shape behind a
 request/response front-end:
 
-* **admission** — ``await extract_info(job)`` enqueues onto a bounded
-  queue; a full queue suspends the caller (backpressure, not buffering
-  bloat);
+* **admission** — ``await extract_info(job)`` enqueues onto a queue
+  of :data:`MAX_PENDING` requests; a full queue suspends the caller
+  (backpressure, not buffering bloat);
 * **micro-batching** — a dispatcher drains whatever is queued (up to
   :data:`MAX_BATCH` requests) into one batch, so concurrent callers
   share one hop to the worker thread; a lone request dispatches
   immediately;
 * **parse caching** — a :class:`ParseCache` (content-hash-keyed LRU
-  bounded by estimated document bytes) is the one way requests share
-  a parse: the first request carrying a page's bytes parses it, and
-  every later request with the same bytes — later in the same batch or
-  in any later batch — finds the cached document.  See the class
-  docstring for the invalidation contract;
+  bounded by :data:`PARSE_CACHE_BYTES` of estimated document memory)
+  is the one way requests share a parse: the first request carrying a
+  page's bytes parses it, and every later request with the same bytes
+  — later in the same batch or in any later batch — finds the cached
+  document.  See the class docstring for the invalidation contract;
 * **execution** — each request is one page entry for the per-page
   kernel (:func:`~repro.runtime.extractor.extract_pages`, which
   isolates failures per wrapper: a malformed query fails only the
   request that sent it, as a :class:`RequestError`), run on one
   in-process thread that outlives requests — no pickling, and the
   parse cache's documents stay usable.
+
+The three sizes are module constants, not options, and each is read
+where it is used, so a test patches one name (``serve.MAX_PENDING``).
 
 ``benchmarks/bench_serving.py`` measures the result on the full corpus
 and writes ``BENCH_serving.json``: at client concurrency 8 the server
@@ -80,6 +83,10 @@ class ParseCacheInfo:
 _BYTES_PER_NODE = 555
 _BYTES_PER_DOCUMENT = 1860
 
+#: The parse cache's budget in estimated document bytes.  It holds the
+#: lifecycle benchmark's serve-repeat page set (37.7 MB) whole.
+PARSE_CACHE_BYTES = 64 * 1024 * 1024
+
 
 class ParseCache:
     """Content-hash-keyed LRU of parsed documents, bounded by their
@@ -90,7 +97,7 @@ class ParseCache:
     never be served a stale document: different bytes simply miss.
     Each entry is charged its estimated memory — its HTML bytes plus
     1.86 KB plus 555 B per node of its document index — and
-    ``capacity_bytes`` caps the sum; inserting past it evicts
+    :data:`PARSE_CACHE_BYTES` caps the sum; inserting past it evicts
     least-recently-used entries, and a single page larger than the
     whole budget is served uncached.
 
@@ -98,7 +105,7 @@ class ParseCache:
     in docs/PERFORMANCE.md): document-owned memos — the index itself,
     its ``filter_cache`` of per-(document, step) filtered lists — stay
     owned by the document and now live exactly as long as its cache
-    entry, bounded by ``capacity_bytes``; nothing is pinned in
+    entry, bounded by :data:`PARSE_CACHE_BYTES`; nothing is pinned in
     module-global state keyed by document.  Artifact redeploys need no
     invalidation: the cache holds *pages*, never extraction results —
     every request evaluates its wrappers against the (possibly cached)
@@ -111,10 +118,7 @@ class ParseCache:
     the event loop may touch it concurrently.
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be >= 0")
-        self.capacity_bytes = capacity_bytes
+    def __init__(self) -> None:
         self._entries: OrderedDict[bytes, tuple[Document, int]] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
@@ -142,7 +146,7 @@ class ParseCache:
         """Insert a parsed page; returns how many entries were evicted."""
         key, size = self._key(html)
         size += _BYTES_PER_DOCUMENT + _BYTES_PER_NODE * len(doc.index.nodes)
-        if size > self.capacity_bytes:
+        if size > PARSE_CACHE_BYTES:
             return 0
         evicted = 0
         with self._lock:
@@ -150,7 +154,7 @@ class ParseCache:
                 return 0
             self._entries[key] = (doc, size)
             self._bytes += size
-            while self._bytes > self.capacity_bytes:
+            while self._bytes > PARSE_CACHE_BYTES:
                 _, (_, dropped) = self._entries.popitem(last=False)
                 self._bytes -= dropped
                 self.evictions += 1
@@ -170,34 +174,17 @@ class ParseCache:
                 evictions=self.evictions,
                 entries=len(self._entries),
                 bytes=self._bytes,
-                capacity_bytes=self.capacity_bytes,
+                capacity_bytes=PARSE_CACHE_BYTES,
             )
 
 
 #: How many queued requests one dispatch drains into a single batch.
 MAX_BATCH = 16
 
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Knobs for the serving layer.
-
-    ``max_pending`` bounds the admission queue — when full,
-    ``extract_info()`` awaits instead of buffering without limit.
-    ``parse_cache_bytes`` is the budget of the :class:`ParseCache` in
-    estimated document bytes (0 disables it, and then every request
-    parses its page); the default holds the lifecycle benchmark's
-    serve-repeat page set (37.7 MB) whole.
-    """
-
-    max_pending: int = 64
-    parse_cache_bytes: int = 64 * 1024 * 1024
-
-    def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if self.parse_cache_bytes < 0:
-            raise ValueError("parse_cache_bytes must be >= 0")
+#: Bound of the admission queue: when it is full, ``extract_info()``
+#: awaits instead of buffering without limit.  ``/extract_many`` runs at
+#: most this many items of one request at a time.
+MAX_PENDING = 64
 
 
 @dataclass
@@ -233,18 +220,17 @@ class AsyncExtractionServer:
 
     Use as an async context manager::
 
-        async with AsyncExtractionServer(ServingConfig()) as server:
+        async with AsyncExtractionServer() as server:
             records = await server.extract_info(job)
 
     The server must be started from within a running event loop; the
     dispatcher task and the worker thread live until ``aclose()``.
     """
 
-    def __init__(self, config: Optional[ServingConfig] = None) -> None:
-        self.config = config or ServingConfig()
+    def __init__(self) -> None:
         self.stats = ServerStats()
-        #: The cross-request page cache (``None`` when disabled).
-        self.parse_cache: Optional[ParseCache] = None
+        #: The cross-request page cache.
+        self.parse_cache = ParseCache()
         self._queue: Optional[asyncio.Queue[_Pending]] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -264,9 +250,7 @@ class AsyncExtractionServer:
             raise RuntimeError("server already started")
         if self._closed:
             raise RuntimeError("server already closed")
-        self._queue = asyncio.Queue(maxsize=self.config.max_pending)
-        if self.config.parse_cache_bytes > 0:
-            self.parse_cache = ParseCache(self.config.parse_cache_bytes)
+        self._queue = asyncio.Queue(maxsize=MAX_PENDING)
         # One worker thread keeps the event loop responsive, and the
         # parse cache's documents are usable from it without pickling.
         self._executor = ThreadPoolExecutor(
@@ -316,22 +300,8 @@ class AsyncExtractionServer:
         return self._queue.qsize() if self._queue is not None else 0
 
     def parse_cache_info(self) -> ParseCacheInfo:
-        """Parse-cache counters — scraped by ``GET /metrics``.
-
-        An enabled cache reports itself.  A disabled cache reports the
-        dispatcher's aggregate counters with zero entries/bytes and
-        ``capacity_bytes`` 0.
-        """
-        if self.parse_cache is not None:
-            return self.parse_cache.info()
-        return ParseCacheInfo(
-            hits=self.stats.parse_cache_hits,
-            misses=self.stats.pages_parsed,
-            evictions=self.stats.parse_cache_evictions,
-            entries=0,
-            bytes=0,
-            capacity_bytes=0,
-        )
+        """Parse-cache counters — scraped by ``GET /metrics``."""
+        return self.parse_cache.info()
 
     async def extract_info(self, job: PageJob) -> list[ExtractionRecord]:
         """Serve one request; resolves to the records for *this* job's
@@ -412,9 +382,7 @@ class AsyncExtractionServer:
 
 
 async def serve_jobs(
-    jobs: Sequence[PageJob],
-    config: Optional[ServingConfig] = None,
-    concurrency: int = 8,
+    jobs: Sequence[PageJob], concurrency: int = 8
 ) -> tuple[list[list[ExtractionRecord]], ServerStats]:
     """Run a request stream through a fresh server at bounded client
     concurrency: returns per-request records, aligned with ``jobs``,
@@ -422,7 +390,7 @@ async def serve_jobs(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     gate = asyncio.Semaphore(concurrency)
-    async with AsyncExtractionServer(config) as server:
+    async with AsyncExtractionServer() as server:
 
         async def one(job: PageJob) -> list[ExtractionRecord]:
             async with gate:
@@ -433,12 +401,10 @@ async def serve_jobs(
 
 
 def serve_jobs_sync(
-    jobs: Sequence[PageJob],
-    config: Optional[ServingConfig] = None,
-    concurrency: int = 8,
+    jobs: Sequence[PageJob], concurrency: int = 8
 ) -> tuple[list[list[ExtractionRecord]], ServerStats]:
     """Blocking wrapper for callers without an event loop."""
-    return asyncio.run(serve_jobs(jobs, config=config, concurrency=concurrency))
+    return asyncio.run(serve_jobs(jobs, concurrency=concurrency))
 
 
 __all__ = [
@@ -447,7 +413,6 @@ __all__ = [
     "ParseCacheInfo",
     "RequestError",
     "ServerStats",
-    "ServingConfig",
     "serve_jobs",
     "serve_jobs_sync",
 ]

@@ -26,10 +26,11 @@ It writes a temp file of its own next to the target, fsyncs it and
 renames it into place, so a reader (or a crash) never observes a
 partially written file, and two threads of one process writing the same
 key never share a temp file.  Temp names do not match the
-``*.json`` pattern ``scan()``/``get()`` read.  Reads go through a small
-in-process LRU keyed by file mtime, so repeated ``get()``s of a hot
-wrapper skip JSON parsing + query validation while an out-of-band
-``put`` from another process still invalidates naturally.  One lock
+``*.json`` pattern ``scan()``/``get()`` read.  Reads go through an
+in-process LRU of :data:`ARTIFACT_CACHE_SIZE` artifacts keyed by file
+mtime, so repeated ``get()``s of a hot wrapper skip JSON parsing +
+query validation while an out-of-band ``put`` from another process
+still invalidates naturally.  One lock
 guards the LRU's entries and counters (threads of one serving process
 read and write it), never the file reads and writes around it.
 
@@ -61,6 +62,11 @@ STORE_META = "store.json"
 
 #: Current store layout version; bump on incompatible layout changes.
 STORE_VERSION = 1
+
+#: Artifacts the in-process LRU holds.  A serving host's hot set fits:
+#: the lifecycle benchmark deploys 25 wrappers for serve-repeat and
+#: runs 29 tasks in maintain.
+ARTIFACT_CACHE_SIZE = 128
 
 
 class StoreError(RuntimeError):
@@ -131,7 +137,6 @@ class ShardedArtifactStore:
         self,
         root: str | os.PathLike,
         n_shards: Optional[int] = None,
-        cache_size: int = 128,
         epoch: Optional[int] = None,
     ) -> None:
         self.root = pathlib.Path(root)
@@ -173,9 +178,6 @@ class ShardedArtifactStore:
                 )
                 + "\n",
             )
-        if cache_size < 0:
-            raise StoreError("cache_size must be >= 0")
-        self.cache_size = cache_size
         self._cache: OrderedDict[str, tuple[int, WrapperArtifact]] = OrderedDict()
         # Guards the LRU and its counters, not the disk work: a serving
         # host reads from executor threads while its induce pool writes.
@@ -264,12 +266,10 @@ class ShardedArtifactStore:
             raise KeyError(task_id) from None
 
     def _remember(self, task_id: str, artifact: WrapperArtifact, mtime: int) -> None:
-        if self.cache_size == 0:
-            return
         with self._lock:
             self._cache[task_id] = (mtime, artifact)
             self._cache.move_to_end(task_id)
-            while len(self._cache) > self.cache_size:
+            while len(self._cache) > ARTIFACT_CACHE_SIZE:
                 self._cache.popitem(last=False)
                 self._evictions += 1
 
@@ -280,7 +280,7 @@ class ShardedArtifactStore:
                 misses=self._misses,
                 evictions=self._evictions,
                 size=len(self._cache),
-                capacity=self.cache_size,
+                capacity=ARTIFACT_CACHE_SIZE,
             )
 
     # -- enumeration --------------------------------------------------------
@@ -465,6 +465,7 @@ def migrate_store(
 
 
 __all__ = [
+    "ARTIFACT_CACHE_SIZE",
     "CacheInfo",
     "DEFAULT_SHARDS",
     "MigrationMove",

@@ -114,6 +114,72 @@ class TestInduceModes:
         with pytest.raises(FacadeError, match="at least one sample"):
             client.induce("shop/price", [])
 
+    def test_a_huge_mode_is_quoted_short(self):
+        client = WrapperClient()
+        with pytest.raises(FacadeError, match="unknown induction mode 'mmm") as err:
+            client.induce("shop/price", [price_sample()], mode="m" * 1_000_000)
+        assert len(str(err.value)) < 200
+
+    def test_k_is_the_one_config_setting(self):
+        """``k`` and ``options`` build the config; a config or provenance
+        passed beside them has no parameter to land in."""
+        import inspect
+
+        from repro import RemoteWrapperClient
+
+        local = inspect.signature(WrapperClient.induce).parameters
+        remote = inspect.signature(RemoteWrapperClient.induce).parameters
+        assert "config" not in local and "provenance" not in local
+        assert list(local) == list(remote)
+        client = WrapperClient()
+        client.induce("shop/price", [price_sample()], k=5)
+        assert client.artifact("shop/price").induction_config().k == 5
+
+
+class TestRecordRowsMatchTheReference:
+    """Record mode evaluates on the compiled engine; on every page the
+    facade tests use, its rows must hold the very nodes the reference
+    evaluator (``repro.xpath.evaluator``) finds."""
+
+    @pytest.mark.parametrize(
+        "page",
+        [RECORD_PAGE, PRICE_V1, PRICE_V2, PRICE_GONE, LIST_PAGE],
+        ids=["record", "price-v1", "price-v2", "price-gone", "list"],
+    )
+    def test_compiled_rows_equal_reference_rows(self, page):
+        from repro.api.results import facade_fields
+        from repro.induction.relative import RecordWrapper
+        from repro.xpath import parse_query
+        from repro.xpath.evaluator import evaluate as reference
+
+        client = WrapperClient()
+        client.induce("shop/items", [record_sample()], mode="record")
+        artifact = client.artifact("shop/items")
+        wrapper = RecordWrapper(
+            anchor_query=artifact.best_query(),
+            field_queries={
+                name: parse_query(text)
+                for name, text in facade_fields(artifact).items()
+            },
+        )
+        doc = parse_html(page)
+        expected = []
+        for anchor in reference(wrapper.anchor_query, doc.root, doc):
+            row = {"_anchor": anchor}
+            for name, query in wrapper.field_queries.items():
+                matches = reference(query, anchor, doc)
+                row[name] = matches[0] if matches else None
+            expected.append(row)
+        assert wrapper.extract(doc) == expected
+        if page is RECORD_PAGE:
+            assert len(expected) == 3 and all(row["price"] for row in expected)
+        rows = [
+            {name: doc.normalized_text(node) if node is not None else None
+             for name, node in row.items() if name != "_anchor"}
+            for row in expected
+        ]
+        assert list(client.extract("shop/items", page).records) == rows
+
 
 class TestRegistry:
     def test_get_keys_delete_contains(self):

@@ -27,7 +27,7 @@ def _freeze_tasks(corpus_tasks, search: str = "exhaustive") -> dict[str, dict]:
     from repro.induction.induce import WrapperInducer
     from repro.runtime.corpus import induce_corpus_task
 
-    inducer = WrapperInducer(k=10, config=InductionConfig(search=search))
+    inducer = WrapperInducer(InductionConfig(search=search))
     entries: dict[str, dict] = {}
     for corpus_task in corpus_tasks:
         induced = induce_corpus_task(corpus_task, inducer)

@@ -131,3 +131,35 @@ def test_artifact_load_rejects_a_malformed_config():
         WrapperArtifact.from_payload({**payload, "config": "pruned"})
     raised = {**payload, "config": {**payload["config"], "max_node_patterns": 10000}}
     assert WrapperArtifact.from_payload(raised).config == payload["config"]
+
+
+HUGE = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: InductionConfig(beta=HUGE),
+        lambda: InductionConfig(search=HUGE),
+        lambda: InductionConfig(diversity=HUGE),
+        lambda: InductionConfig(enable_sideways=HUGE),
+        lambda: config_with_options(InductionConfig(), {HUGE: 1}),
+    ],
+    ids=["beta", "search", "diversity", "enable_sideways", "option-key"],
+)
+def test_errors_quote_client_input_short(make):
+    """A 1,000,000-character value is quoted through ``reprlib`` (30
+    characters), not echoed whole."""
+    with pytest.raises(ValueError) as err:
+        make()
+    assert "'xxx" in str(err.value)
+    assert len(str(err.value)) < 200
+
+
+def test_ranked_query_errors_quote_the_payload_short():
+    from repro.runtime.artifact import RankedQuery
+
+    with pytest.raises(ArtifactError) as err:
+        RankedQuery.from_payload({"query": HUGE, "score": "x", "tp": 1, "fp": 0, "fn": 0})
+    assert "malformed ranked query payload" in str(err.value)
+    assert len(str(err.value)) < 200

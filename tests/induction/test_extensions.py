@@ -41,7 +41,7 @@ class TestRelativeWrappers:
             )
             for anchor in anchors[:4]
         ]
-        wrapper = RelativeWrapperInducer(k=10).induce(product_doc, examples)
+        wrapper = RelativeWrapperInducer().induce(product_doc, examples)
         records = wrapper.extract_values(product_doc)
         assert len(records) == 5
         assert records[0]["title"] == "Product 0"
@@ -53,7 +53,7 @@ class TestRelativeWrappers:
             RecordExample(anchor=anchor, fields={"title": anchor.find(tag="a")})
             for anchor in anchors
         ]
-        wrapper = RelativeWrapperInducer(k=10).induce(product_doc, examples)
+        wrapper = RelativeWrapperInducer().induce(product_doc, examples)
         # remove one title, re-extract
         victim = anchors[2].find(tag="h2")
         anchors[2].remove_child(victim)
@@ -95,7 +95,7 @@ class TestFeatureSignature:
 class TestEnsemble:
     def test_select_diverse_prefers_disjoint(self, imdb_doc):
         target = imdb_doc.find(tag="span")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         members = select_diverse(result, size=3)
         assert 1 <= len(members) <= 3
         signatures = [feature_signature(m) for m in members]
@@ -104,7 +104,7 @@ class TestEnsemble:
 
     def test_majority_vote_selects_target(self, imdb_doc):
         target = imdb_doc.find(tag="span")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         ensemble = build_ensemble(result, size=3)
         assert ensemble.select(imdb_doc) == [target]
 

@@ -19,26 +19,26 @@ def mark_volatile(doc, tag):
 class TestSingleTarget:
     def test_accurate_top_result(self, imdb_doc):
         target = imdb_doc.find(tag="span")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         assert result.best is not None
         assert result.best.is_accurate
         assert evaluate(result.best.query, imdb_doc.root, imdb_doc) == [target]
 
     def test_all_results_are_ds_queries(self, imdb_doc):
         target = imdb_doc.find(tag="span")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         for instance in result:
             assert is_ds_query(instance.query), str(instance.query)
 
     def test_semantic_attribute_preferred_over_volatile_text(self, imdb_doc):
         mark_volatile(imdb_doc, "span")
         target = imdb_doc.find(tag="span")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         assert "Martin" not in str(result.best.query)
 
     def test_search_input_wrapper(self, imdb_doc):
         target = imdb_doc.find(tag="input")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         assert result.best.is_accurate
         # the paper's group (a) example: descendant::input[@name="q"]-style
         assert "input" in str(result.best.query) or "@" in str(result.best.query)
@@ -47,7 +47,7 @@ class TestSingleTarget:
         from repro.scoring.ranking import rank_key
 
         target = imdb_doc.find(tag="h1")
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        result = WrapperInducer().induce_one(imdb_doc, [target])
         keys = [rank_key(i) for i in result]
         assert keys == sorted(keys)
 
@@ -59,7 +59,7 @@ class TestSingleTarget:
 class TestMultiTarget:
     def test_list_selection(self, list_doc):
         targets = list(list_doc.root.iter_find(tag="a", class_="hpCH"))
-        result = WrapperInducer(k=10).induce_one(list_doc, targets)
+        result = WrapperInducer().induce_one(list_doc, targets)
         assert result.best.is_accurate
         matches = evaluate(result.best.query, list_doc.root, list_doc)
         assert {id(m) for m in matches} == {id(t) for t in targets}
@@ -72,13 +72,13 @@ class TestMultiTarget:
             + "</table></body></html>"
         )
         targets = [tr for tr in doc.root.iter_find(tag="tr")][1:]
-        result = WrapperInducer(k=10).induce_one(doc, targets)
+        result = WrapperInducer().induce_one(doc, targets)
         assert result.best.is_accurate
         assert "following-sibling" in str(result.best.query)
 
     def test_cast_table(self, imdb_doc):
         targets = list(imdb_doc.root.iter_find(tag="td", class_="name"))
-        result = WrapperInducer(k=10).induce_one(imdb_doc, [t for t in targets])
+        result = WrapperInducer().induce_one(imdb_doc, [t for t in targets])
         assert result.best.is_accurate
 
 
@@ -129,7 +129,7 @@ class TestMultiSample:
             + "</ul></body></html>"
         )
         items = list(doc.root.iter_find(tag="li"))
-        result = WrapperInducer(k=10).induce_one(doc, items[:3])
+        result = WrapperInducer().induce_one(doc, items[:3])
         matches = evaluate(result.best.query, doc.root, doc)
         assert {id(m) for m in matches} == {id(t) for t in items}
 
@@ -141,14 +141,34 @@ class TestMultiSample:
 class TestConfig:
     def test_k_controls_result_count(self, imdb_doc):
         target = imdb_doc.find(tag="h1")
-        small = WrapperInducer(k=3).induce_one(imdb_doc, [target])
-        large = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        small = WrapperInducer(InductionConfig(k=3)).induce_one(imdb_doc, [target])
+        large = WrapperInducer().induce_one(imdb_doc, [target])
         assert len(small) <= 3
         assert len(large) <= 10
         assert len(large) >= len(small)
 
     def test_results_deterministic(self, imdb_doc):
         target = imdb_doc.find(tag="span")
-        first = WrapperInducer(k=10).induce_one(imdb_doc, [target])
-        second = WrapperInducer(k=10).induce_one(imdb_doc, [target])
+        first = WrapperInducer().induce_one(imdb_doc, [target])
+        second = WrapperInducer().induce_one(imdb_doc, [target])
         assert [str(i.query) for i in first] == [str(i.query) for i in second]
+
+    def test_k_is_set_in_the_config_only(self, imdb_doc):
+        """Both inducers take ``(config, params)``: the config's ``k`` is
+        the ``k``, and a config-set K ranks exactly as ``induce`` does."""
+        import inspect
+
+        from repro.induction.relative import RelativeWrapperInducer
+
+        target = imdb_doc.find(tag="h1")
+        config = InductionConfig(k=5)
+        inducer = WrapperInducer(config)
+        assert inducer.config.k == 5
+        ranked = inducer.induce_one(imdb_doc, [target])
+        reference = induce([QuerySample(imdb_doc, [target])], config)
+        assert ranked.export() == reference.export()
+        assert len(ranked) <= 5
+        relative = RelativeWrapperInducer(InductionConfig(k=7))
+        assert relative.config.k == 7 and not hasattr(relative, "k")
+        for cls in (WrapperInducer, RelativeWrapperInducer):
+            assert list(inspect.signature(cls).parameters) == ["config", "params"]

@@ -25,7 +25,7 @@ class TestInducedWrapperInvariants:
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)
         doc = archive.snapshot(0)
         targets = archive.targets(doc, corpus_task.task.role)
-        result = WrapperInducer(k=10).induce_one(doc, targets)
+        result = WrapperInducer().induce_one(doc, targets)
         assert result.best is not None
         assert is_ds_query(result.best.query)
         assert is_plausible(result.best.query, [doc])
@@ -49,7 +49,7 @@ class TestRobustnessDefinition:
         doc0 = archive.snapshot(0)
         targets0 = archive.targets(doc0, "director")
         signature0 = subtree_signature(targets0[0])
-        result = WrapperInducer(k=10).induce_one(doc0, targets0)
+        result = WrapperInducer().induce_one(doc0, targets0)
         query = result.best.query
         checked = 0
         for index in range(1, 8):
@@ -70,7 +70,7 @@ class TestNoiseResistanceIntegration:
     def test_mild_noise_keeps_top1(self, noise_type):
         """At 10% intensity, the paper reports ≈90%+ identical results;
         check a handful of corpus samples stay identical."""
-        inducer = WrapperInducer(k=10)
+        inducer = WrapperInducer()
         identical = total = 0
         for corpus_task in multi_node_tasks(limit=5):
             archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

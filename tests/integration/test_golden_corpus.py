@@ -77,5 +77,5 @@ def test_induction_reproduces_golden_sitegen(corpus_task):
 
 @pytest.mark.parametrize("corpus_task", TASKS + SITEGEN_TASKS, ids=lambda t: t.task_id)
 def test_pruned_induction_reproduces_golden(corpus_task):
-    inducer = WrapperInducer(k=10, config=InductionConfig(search="pruned"))
+    inducer = WrapperInducer(InductionConfig(search="pruned"))
     _assert_reproduces(corpus_task, GOLDEN_PRUNED[corpus_task.task_id], inducer)

@@ -58,7 +58,7 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 )
 def test_pruned_search_stays_within_tolerance(corpus_task, golden):
     induced = induce_corpus_task(
-        corpus_task, WrapperInducer(k=10, config=PRUNED_CONFIG)
+        corpus_task, WrapperInducer(PRUNED_CONFIG)
     )
     assert induced is not None
     best = induced[0].best
@@ -79,7 +79,7 @@ def _wide_annotation():
         if annotation is None:
             continue
         doc, targets = annotation
-        inducer = WrapperInducer(k=10, config=PRUNED_CONFIG)
+        inducer = WrapperInducer(PRUNED_CONFIG)
         result = inducer.induce_one(doc, targets)
         if result.stats is not None and result.stats.candidates_pruned:
             return doc, targets
@@ -89,7 +89,7 @@ def _wide_annotation():
 class TestPruningEngages:
     def test_counters_are_populated(self):
         doc, targets = _wide_annotation()
-        result = WrapperInducer(k=10, config=PRUNED_CONFIG).induce_one(doc, targets)
+        result = WrapperInducer(PRUNED_CONFIG).induce_one(doc, targets)
         assert result.stats is not None
         assert result.stats.search == "pruned"
         assert result.stats.candidates_considered > 0
@@ -97,7 +97,7 @@ class TestPruningEngages:
 
     def test_exhaustive_reports_no_pruning(self):
         doc, targets = _wide_annotation()
-        result = WrapperInducer(k=10).induce_one(doc, targets)
+        result = WrapperInducer().induce_one(doc, targets)
         assert result.stats is not None
         assert result.stats.search == "exhaustive"
         assert result.stats.candidates_pruned == 0
@@ -106,7 +106,7 @@ class TestPruningEngages:
 class TestPrunedDeterminism:
     def test_repeated_runs_are_identical(self):
         doc, targets = _wide_annotation()
-        inducer = WrapperInducer(k=10, config=PRUNED_CONFIG)
+        inducer = WrapperInducer(PRUNED_CONFIG)
         first = inducer.induce_one(doc, targets).export()
         for _ in range(2):
             assert inducer.induce_one(doc, targets).export() == first
@@ -115,9 +115,9 @@ class TestPrunedDeterminism:
         """The pruner must not leak state between documents: inducing
         other tasks first cannot change a task's pruned result."""
         doc, targets = _wide_annotation()
-        fresh = WrapperInducer(k=10, config=PRUNED_CONFIG)
+        fresh = WrapperInducer(PRUNED_CONFIG)
         baseline = fresh.induce_one(doc, targets).export()
-        busy = WrapperInducer(k=10, config=PRUNED_CONFIG)
+        busy = WrapperInducer(PRUNED_CONFIG)
         for corpus_task in single_node_tasks(limit=3):
             induce_corpus_task(corpus_task, busy)
         assert busy.induce_one(doc, targets).export() == baseline
@@ -125,6 +125,6 @@ class TestPrunedDeterminism:
     def test_seed_changes_move_the_beam_deterministically(self, monkeypatch):
         doc, targets = _wide_annotation()
         monkeypatch.setattr(prune, "PRUNE_SEED", 7)
-        first = WrapperInducer(k=10, config=PRUNED_CONFIG).induce_one(doc, targets)
-        second = WrapperInducer(k=10, config=PRUNED_CONFIG).induce_one(doc, targets)
+        first = WrapperInducer(PRUNED_CONFIG).induce_one(doc, targets)
+        second = WrapperInducer(PRUNED_CONFIG).induce_one(doc, targets)
         assert first.export() == second.export()

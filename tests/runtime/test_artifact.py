@@ -23,7 +23,7 @@ from repro.sites import multi_node_tasks, single_node_tasks
 from repro.xpath import compile as xpath_compile
 from repro.xpath.compile import evaluate_compiled
 
-INDUCER = WrapperInducer(k=10)
+INDUCER = WrapperInducer()
 
 ROUND_TRIP_TASKS = single_node_tasks() + multi_node_tasks(limit=8)
 

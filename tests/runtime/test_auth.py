@@ -7,16 +7,17 @@ tenants from growing server memory) are asserted here exactly, with
 10k distinct tenants.
 """
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+from repro.runtime import auth
 from repro.runtime.auth import (
     AccessLog,
     ApiKeyTable,
     AuthConfigError,
-    DEFAULT_MAX_TENANTS,
     InflightGauge,
     NetMetrics,
     QuotaConfig,
@@ -91,12 +92,18 @@ class TestQuotaConfig:
             {"rate": -1.0},
             {"burst": -1},
             {"max_inflight": -1},
-            {"max_tenants": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(AuthConfigError):
             QuotaConfig(**kwargs)
+
+    def test_fields_are_tenant_policy_only(self):
+        """State bounds are the module constant MAX_TENANTS."""
+        fields = [field.name for field in dataclasses.fields(QuotaConfig)]
+        assert fields == ["rate", "burst", "max_inflight"]
+        with pytest.raises(TypeError):
+            QuotaConfig(max_tenants=8)
 
 
 class TestTenantRateLimiter:
@@ -115,18 +122,20 @@ class TestTenantRateLimiter:
         assert not limiter.acquire("a", now=0.0)[0]
         assert limiter.acquire("b", now=0.0)[0]
 
-    def test_state_is_lru_bounded_under_tenant_scan(self):
+    def test_state_is_lru_bounded_under_tenant_scan(self, monkeypatch):
         """The headline leak test: 10k distinct (dead) tenants must
         recycle a fixed pool, never grow the bucket map past the cap."""
         cap = 64
-        limiter = TenantRateLimiter(rate=1.0, burst=1.0, max_tenants=cap)
+        monkeypatch.setattr(auth, "MAX_TENANTS", cap)
+        limiter = TenantRateLimiter(rate=1.0, burst=1.0)
         for i in range(10_000):
             limiter.acquire(f"scan-{i}", now=float(i) * 1e-3)
         assert len(limiter) <= cap
         assert limiter.evictions == 10_000 - cap
 
-    def test_eviction_is_lru_not_fifo(self):
-        limiter = TenantRateLimiter(rate=1.0, burst=5.0, max_tenants=2)
+    def test_eviction_is_lru_not_fifo(self, monkeypatch):
+        monkeypatch.setattr(auth, "MAX_TENANTS", 2)
+        limiter = TenantRateLimiter(rate=1.0, burst=5.0)
         limiter.acquire("old", now=0.0)
         limiter.acquire("kept", now=0.0)
         limiter.acquire("old", now=1.0)  # refresh recency
@@ -141,8 +150,8 @@ class TestTenantRateLimiter:
             TenantRateLimiter(rate=0.0, burst=1.0)
         with pytest.raises(AuthConfigError):
             TenantRateLimiter(rate=1.0, burst=0.0)
-        with pytest.raises(AuthConfigError):
-            TenantRateLimiter(rate=1.0, burst=1.0, max_tenants=0)
+        with pytest.raises(TypeError):  # the cap is MAX_TENANTS, not an option
+            TenantRateLimiter(rate=1.0, burst=1.0, max_tenants=2)
 
 
 class TestInflightGauge:
@@ -186,7 +195,7 @@ class TestNetMetrics:
         assert payload["rejected_unowned_421"] == 1
         acme = payload["tenants"]["acme"]
         assert acme == {"requests": 7, "errors": 5, "rate_limited": 1}
-        assert payload["tenant_state"]["cap"] == DEFAULT_MAX_TENANTS
+        assert payload["tenant_state"]["cap"] == auth.MAX_TENANTS == 1024
 
     def test_rejection_counters_read_zero_before_any_rejection(self):
         metrics = NetMetrics()
@@ -199,8 +208,9 @@ class TestNetMetrics:
         }
         assert payload["rejected_unowned_421"] == 0
 
-    def test_per_tenant_map_is_lru_bounded(self):
-        metrics = NetMetrics(max_tenants=32)
+    def test_per_tenant_map_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(auth, "MAX_TENANTS", 32)
+        metrics = NetMetrics()
         for i in range(10_000):
             metrics.observe(f"scan-{i}", 200)
         payload = metrics.as_payload()

@@ -23,9 +23,9 @@ from repro.api import remote as remote_module
 from repro.api import results as results_module
 from repro.api.remote import AuthError, RateLimitError, RemoteWrapperClient
 from repro.api.results import MAX_BATCH_ITEMS, FacadeError
+from repro.runtime import serve
 from repro.runtime.auth import QuotaConfig
 from repro.runtime.net import NetConfig, WrapperHTTPServer
-from repro.runtime.serve import ServingConfig
 from tests.serving_utils import spawn_listen, terminate
 
 TITLE_PAGE = """
@@ -179,12 +179,11 @@ class TestWireProtocol:
 
         run(go())
 
-    def test_in_flight_items_are_bounded_by_max_pending(self):
-        """A 300-item request never runs more than ``max_pending`` items
+    def test_in_flight_items_are_bounded_by_max_pending(self, monkeypatch):
+        """A 300-item request never runs more than ``MAX_PENDING`` items
         at once, and its slots keep item order."""
-        server = WrapperHTTPServer(
-            deployed_client(), NetConfig(serving=ServingConfig(max_pending=16))
-        )
+        monkeypatch.setattr(serve, "MAX_PENDING", 16)
+        server = WrapperHTTPServer(deployed_client())
         op_extract = server._op_extract
         running = peak = 0
 
@@ -217,7 +216,7 @@ class TestWireProtocol:
         assert 1 < peak <= 16
 
     def test_a_batch_never_throttles_its_own_items(self):
-        """With a per-tenant in-flight cap below ``max_pending``, a
+        """With a per-tenant in-flight cap below ``MAX_PENDING``, a
         20-item request runs no wider than the cap, so none of its
         slots is refused with 429."""
         server = WrapperHTTPServer(

@@ -300,7 +300,10 @@ BAD_INVOCATIONS = [
     (["check", "--artifacts", "{tmp}", "--snapshots", "1"], "--snapshots: must be >= 2"),
     (["extract", "--artifacts", "{tmp}", "--workers", "0"], "unrecognized arguments: --workers 0"),
     (["extract", "--artifacts", "{tmp}", "--snapshot", "-1"], "--snapshot: must be >= 0"),
-    (["serve", "--listen", "127.0.0.1:0", "--max-pending", "0"], "--max-pending: must be >= 1"),
+    # Serving sizes are module constants, not flags.
+    (["serve", "--listen", "127.0.0.1:0", "--max-pending", "0"], "unrecognized arguments: --max-pending 0"),
+    (["serve", "--listen", "127.0.0.1:0", "--max-pending", "8"], "unrecognized arguments: --max-pending 8"),
+    (["serve", "--listen", "127.0.0.1:0", "--limiter-tenants", "5"], "unrecognized arguments: --limiter-tenants 5"),
     (["serve", "--artifacts", "{tmp}", "--concurrency", "0"], "required: --listen"),
     (["serve", "--listen", "127.0.0.1:0", "--epoch", "-1"], "--epoch: must be >= 0"),
     # The stream replay and its flags are gone: serve always listens.

@@ -24,7 +24,7 @@ def induce_artifact(task_id: str, n_snapshots: int):
     archive = SyntheticArchive(corpus_task.spec, n_snapshots=n_snapshots)
     doc = archive.snapshot(0)
     targets = archive.targets(doc, corpus_task.task.role)
-    result = WrapperInducer(k=10).induce_one(doc, targets)
+    result = WrapperInducer().induce_one(doc, targets)
     artifact = WrapperArtifact.from_induction(
         result,
         [QuerySample(doc, targets)],
@@ -164,7 +164,7 @@ class TestReinduce:
         config = InductionConfig(
             k=5, beta=0.8, search="pruned", diversity=1.0, enable_sideways=False
         )
-        result = WrapperInducer(k=5, config=config).induce_one(doc0, targets0)
+        result = WrapperInducer(config).induce_one(doc0, targets0)
         artifact = WrapperArtifact.from_induction(
             result,
             [QuerySample(doc0, targets0)],

@@ -22,7 +22,7 @@ from repro.xpath.errors import XPathParseError
 @pytest.fixture(scope="module")
 def corpus_jobs():
     """Real corpus pages with every task wrapper of the site on them."""
-    inducer = WrapperInducer(k=10)
+    inducer = WrapperInducer()
     artifacts, page_html = [], {}
     for corpus_task in single_node_tasks(limit=8):
         archive = SyntheticArchive(corpus_task.spec, n_snapshots=1)

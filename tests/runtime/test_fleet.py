@@ -28,7 +28,7 @@ from repro.sites import single_node_tasks
 #: snapshot 4 — exercised by the CLI tests too).
 DRIFTING_TASK = "weather-1/temp"
 
-INDUCER = WrapperInducer(k=10)
+INDUCER = WrapperInducer()
 
 
 def _artifact_for(task_id):

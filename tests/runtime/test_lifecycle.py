@@ -59,7 +59,7 @@ def _run_lifecycle(task_id, tmp_path):
     # 1. induce on snapshot 0 and serialize to disk
     doc0 = archive.snapshot(0)
     targets0 = archive.targets(doc0, role)
-    result = WrapperInducer(k=10).induce_one(doc0, targets0)
+    result = WrapperInducer().induce_one(doc0, targets0)
     induced = WrapperArtifact.from_induction(
         result,
         [QuerySample(doc0, targets0)],
@@ -159,7 +159,7 @@ def test_replay_window_spans_20_snapshots(tmp_path):
     archive = SyntheticArchive(corpus_task.spec, n_snapshots=N_SNAPSHOTS)
     doc0 = archive.snapshot(0)
     targets0 = archive.targets(doc0, corpus_task.task.role)
-    result = WrapperInducer(k=10).induce_one(doc0, targets0)
+    result = WrapperInducer().induce_one(doc0, targets0)
     artifact = WrapperArtifact.from_induction(
         result,
         [QuerySample(doc0, targets0)],

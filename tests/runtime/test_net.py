@@ -6,6 +6,7 @@ concurrent clients hitting the same page (one parse, yet every caller
 gets its own wrapper's records)."""
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -14,7 +15,6 @@ from repro import Sample, WrapperClient, mark_volatile, parse_html
 from repro.api import results
 from repro.induction.config import MAX_K
 from repro.runtime.net import INDUCE_WORKERS, NetConfig, WrapperHTTPServer
-from repro.runtime.serve import ServingConfig
 
 TITLE_PAGE = """
 <html><body>
@@ -142,6 +142,45 @@ class TestFailurePaths:
 
         run(go())
 
+    @staticmethod
+    def _send_head(size: int):
+        """Send a ``GET /healthz`` whose head is ``size`` bytes long;
+        returns the answer and whether the server then hung up."""
+        start = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+        head = start + b"a" * (size - len(start) - 4) + b"\r\n\r\n"
+        assert len(head) == size
+
+        async def go():
+            async with WrapperHTTPServer(WrapperClient()) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(head)
+                status, headers, body = await read_response(reader)
+                hung_up = False
+                if headers["connection"] == "close":
+                    try:
+                        hung_up = await asyncio.wait_for(reader.read(), 5) == b""
+                    except ConnectionResetError:  # closed with bytes unread
+                        hung_up = True
+                writer.close()
+                return status, headers, body, hung_up
+
+        return run(go())
+
+    def test_request_head_within_the_limit_is_served(self):
+        """The head limit is 32 KiB plus the stream reader's 1 KiB of
+        slack: a 33,543-byte head is read whole."""
+        status, headers, body, _ = self._send_head(33_543)
+        assert status == 200 and body["ok"] is True
+        assert headers["connection"] == "keep-alive"
+
+    def test_oversized_request_head_is_431_and_closes(self):
+        status, headers, body, hung_up = self._send_head(33_843)
+        assert status == 431
+        assert body["code"] == "headers_too_large"
+        assert headers["connection"] == "close"
+        assert hung_up
+
     def test_client_disconnect_mid_request_leaves_server_serving(self):
         async def go():
             async with WrapperHTTPServer(deployed_client()) as server:
@@ -205,7 +244,6 @@ class TestConcurrency:
         layer parses it once (the parse cache answers every repeat)
         while every caller still gets the records for *its* wrapper."""
         client = deployed_client()
-        config = NetConfig(serving=ServingConfig())
 
         async def one(host, port, site_key):
             return await raw_request(
@@ -213,7 +251,7 @@ class TestConcurrency:
             )
 
         async def go():
-            async with WrapperHTTPServer(client, config) as server:
+            async with WrapperHTTPServer(client) as server:
                 host, port = server.address
                 keys = ["shop/name", "shop/price"] * 6
                 answers = await asyncio.gather(*(one(host, port, k) for k in keys))
@@ -710,6 +748,31 @@ class TestMetricsEndpoint:
 
         run(go())
 
+    def test_keys_and_default_values(self):
+        """The scrape surface routers and the lifecycle benchmark read:
+        the same keys, and at defaults the constants' values."""
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                _, _, health = await raw_request(host, port, get("/healthz"))
+                _, _, metrics = await raw_request(host, port, get("/metrics"))
+                return health, metrics
+
+        health, metrics = run(go())
+        assert set(health) == {"ok", "wrappers", "epoch", "serving"}
+        assert set(metrics) == {
+            "ok", "epoch", "queue_depth", "serving", "parse_cache",
+            "requests_total", "by_status", "auth", "rejected_unowned_421",
+            "tenants", "tenant_state", "induction",
+        }
+        assert set(metrics["parse_cache"]) == {
+            "hits", "misses", "evictions", "entries", "bytes", "capacity_bytes",
+        }
+        assert metrics["parse_cache"]["capacity_bytes"] == 67108864
+        assert set(metrics["tenant_state"]) == {"tracked", "cap", "evictions"}
+        assert metrics["tenant_state"]["cap"] == 1024
+
 
 class TestAccessLogWire:
     def test_one_jsonl_record_per_answered_request(self):
@@ -745,12 +808,14 @@ class TestAccessLogWire:
 
 class TestConfig:
     def test_invalid_net_config_rejected(self):
-        with pytest.raises(ValueError):
-            NetConfig(max_header_bytes=8)
-        with pytest.raises(TypeError):
-            NetConfig(max_body_bytes=1024)  # the protocol's limit, not an option
-        with pytest.raises(TypeError):
-            NetConfig(induce_workers=4)  # a fixed pool size, not an option
+        """NetConfig holds deployment settings only: sizes are module
+        constants (net.MAX_HEADER_BYTES, results.MAX_BODY_BYTES,
+        INDUCE_WORKERS, serve.MAX_PENDING), not options."""
+        fields = [field.name for field in dataclasses.fields(NetConfig)]
+        assert fields == ["auth", "quota", "access_log"]
+        for name in ("max_header_bytes", "max_body_bytes", "induce_workers", "serving"):
+            with pytest.raises(TypeError):
+                NetConfig(**{name: 1024})
 
     def test_double_start_rejected(self):
         async def go():
@@ -925,6 +990,32 @@ class TestInduceWire:
             assert body["code"] == "unprocessable"
             assert "k must be an integer from 1 to 64" in body["error"]
         assert "shop/k" not in keys
+
+    def test_a_huge_mode_is_quoted_short(self):
+        """Error messages quote client input through ``reprlib``: a
+        1,000,000-character mode answers a 422 under 1 KiB."""
+        sample = self._wire_sample()
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                return await raw_request(
+                    host,
+                    port,
+                    post(
+                        "/induce",
+                        {
+                            "site_key": "shop/m",
+                            "samples": [sample],
+                            "mode": "m" * 1_000_000,
+                        },
+                    ),
+                )
+
+        status, headers, body = run(go())
+        assert status == 422, body
+        assert "unknown induction mode 'mmm" in body["error"]
+        assert int(headers["content-length"]) < 1024
 
     def test_wrongly_typed_option_is_422_not_500(self):
         """Malformed ``/induce`` and ``/repair`` bodies get a typed 4xx:
@@ -1108,6 +1199,22 @@ class TestDeployCeilings:
         assert body["code"] == "unprocessable"
         assert key in body["error"]
         assert repaired is None
+
+    def test_a_huge_config_value_is_quoted_short(self):
+        """A 1,000,000-character ``beta`` answers a 422 under 1 KiB."""
+        artifact = self._artifact_payload(beta="x" * 1_000_000)
+
+        async def go():
+            async with WrapperHTTPServer(deployed_client()) as server:
+                host, port = server.address
+                return await raw_request(
+                    host, port, post("/deploy", {"artifact": artifact})
+                )
+
+        status, headers, body = run(go())
+        assert status == 422, body
+        assert "beta must be a finite number > 0, got 'xxx" in body["error"]
+        assert int(headers["content-length"]) < 1024
 
     def test_raised_caps_repair_under_the_constants(self):
         raised = self._artifact_payload(

@@ -5,10 +5,13 @@ matching observed traffic."""
 import asyncio
 import json
 
+import pytest
+
 from repro import Sample, WrapperClient, mark_volatile, parse_html
 from repro.dom.parser import parse_html as _parse
+from repro.runtime import serve
 from repro.runtime.net import WrapperHTTPServer
-from repro.runtime.serve import ParseCache, ServingConfig, serve_jobs_sync
+from repro.runtime.serve import AsyncExtractionServer, ParseCache, serve_jobs_sync
 from repro.runtime.extractor import PageJob
 
 PAGE_A = """
@@ -35,16 +38,23 @@ def run(coro):
     return asyncio.run(coro)
 
 
+@pytest.fixture
+def budget(monkeypatch):
+    """Set the parse cache's budget for one test."""
+    return lambda size: monkeypatch.setattr(serve, "PARSE_CACHE_BYTES", size)
+
+
 def charge(html: str) -> int:
-    """What the cache charges for one parsed page."""
-    cache = ParseCache(capacity_bytes=1 << 30)
+    """What the cache charges for one parsed page (at the default
+    budget, which any test page fits)."""
+    cache = ParseCache()
     cache.put(html, _parse(html))
     return cache.info().bytes
 
 
 class TestParseCacheUnit:
     def test_identical_html_hits_mutated_html_misses(self):
-        cache = ParseCache(capacity_bytes=1 << 20)
+        cache = ParseCache()
         doc = _parse(PAGE_A)
         assert cache.get(PAGE_A) is None  # cold
         cache.put(PAGE_A, doc)
@@ -55,10 +65,11 @@ class TestParseCacheUnit:
         info = cache.info()
         assert (info.hits, info.misses, info.entries) == (1, 2, 1)
 
-    def test_eviction_under_byte_budget_is_lru(self):
+    def test_eviction_under_byte_budget_is_lru(self, budget):
         pages = [f"<html><body><p>page {i:04d}</p></body></html>" for i in range(4)]
         size = charge(pages[0])  # the pages share one shape, so one charge
-        cache = ParseCache(capacity_bytes=3 * size)
+        budget(3 * size)
+        cache = ParseCache()
         for page in pages[:3]:
             assert cache.put(page, _parse(page)) == 0  # fits
         assert cache.get(pages[0]) is not None  # 0 is now most recent
@@ -72,45 +83,48 @@ class TestParseCacheUnit:
         assert cache.get(pages[0]) is not None
         assert cache.get(pages[3]) is not None
 
-    def test_page_larger_than_the_budget_is_served_uncached(self):
-        cache = ParseCache(capacity_bytes=16)
+    def test_page_larger_than_the_budget_is_served_uncached(self, budget):
+        budget(16)
+        cache = ParseCache()
         assert cache.put(PAGE_A, _parse(PAGE_A)) == 0
         assert cache.info().entries == 0
 
-    def test_text_heavy_pages_are_charged_at_least_their_html(self):
+    def test_text_heavy_pages_are_charged_at_least_their_html(self, budget):
         """A run of text is one node however long, so the charge counts
         the page's HTML bytes too: 100 KB of text holds about 100 KB."""
-        budget = 256 * 1024
+        limit = 256 * 1024
+        budget(limit)
         pages = [f"<p>{i}{'x' * 100_000}</p>" for i in range(5)]
-        cache = ParseCache(capacity_bytes=budget)
+        cache = ParseCache()
         for page in pages:
             cache.put(page, _parse(page))
         info = cache.info()
         assert info.entries == 2
-        assert sum(map(len, pages[-2:])) <= info.bytes <= budget
+        assert sum(map(len, pages[-2:])) <= info.bytes <= limit
         # One such page larger than the whole budget stays uncached.
-        huge = "<p>" + "y" * budget + "</p>"
+        huge = "<p>" + "y" * limit + "</p>"
         assert cache.put(huge, _parse(huge)) == 0
         assert cache.get(huge) is None
         assert cache.info().entries == 2
 
-    def test_many_tiny_pages_stay_within_the_budget(self):
+    def test_many_tiny_pages_stay_within_the_budget(self, budget):
         """The budget bounds what the cache holds, not its pages' HTML:
         a cached ``<p>n</p>`` page holds about 2.9 KB (tracemalloc,
         parsed and indexed), some 300x its HTML."""
-        budget = 256 * 1024
-        cache = ParseCache(capacity_bytes=budget)
+        limit = 256 * 1024
+        budget(limit)
+        cache = ParseCache()
         for i in range(20_000):
             page = f"<p>{i}</p>"
             cache.put(page, _parse(page))
         info = cache.info()
-        assert info.bytes <= budget
+        assert info.bytes <= limit
         # Charged under 2.5 KB, an entry would cost more than it says.
         assert info.entries * 2_500 <= info.bytes
         assert info.evictions == 20_000 - info.entries
 
     def test_clear_resets_entries_and_bytes(self):
-        cache = ParseCache(capacity_bytes=1 << 20)
+        cache = ParseCache()
         cache.put(PAGE_A, _parse(PAGE_A))
         cache.clear()
         info = cache.info()
@@ -130,12 +144,22 @@ class TestServingIntegration:
         assert stats.pages_parsed == 1  # the cold request
         assert stats.parse_cache_hits == n - 1
 
-    def test_disabled_cache_parses_every_request(self):
+    def test_every_server_holds_a_cache(self):
+        """The cache cannot be switched off: a server holds one from
+        construction, and its counters are what ``/metrics`` reports."""
+        server = AsyncExtractionServer()
+        assert isinstance(server.parse_cache, ParseCache)
+        info = server.parse_cache_info()
+        assert info == server.parse_cache.info()
+        assert info.capacity_bytes == serve.PARSE_CACHE_BYTES
+
+    def test_disabled_cache_parses_every_request(self, budget):
+        """A zero budget (what ``benchmarks/bench_net.py``'s cold pass
+        sets) fits no page, so every request parses its own."""
+        budget(0)
         n = 4
         requests = [job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(n)]
-        _, stats = serve_jobs_sync(
-            requests, ServingConfig(parse_cache_bytes=0), concurrency=1
-        )
+        _, stats = serve_jobs_sync(requests, concurrency=1)
         assert stats.pages_parsed == n
         assert stats.parse_cache_hits == 0
 
@@ -162,18 +186,14 @@ class TestServingIntegration:
         assert results[1][0].values == ("10",)
         assert stats.parse_cache_hits == 1
 
-    def test_eviction_counter_reaches_server_stats(self):
+    def test_eviction_counter_reaches_server_stats(self, budget):
         pages = [
             f"<html><body><p itemprop='name'>page {i:06d}</p></body></html>" * 40
             for i in range(4)
         ]
-        budget = 2 * charge(pages[0]) + 1
+        budget(2 * charge(pages[0]) + 1)
         requests = [job(f"site-{i}@0", page, ("t", TITLE)) for i, page in enumerate(pages)]
-        _, stats = serve_jobs_sync(
-            requests,
-            ServingConfig(parse_cache_bytes=budget),
-            concurrency=1,
-        )
+        _, stats = serve_jobs_sync(requests, concurrency=1)
         assert stats.pages_parsed == 4  # all distinct
         assert stats.parse_cache_evictions >= 1
 

@@ -3,16 +3,16 @@ through the parse cache, micro-batching, backpressure, and failure
 isolation."""
 
 import asyncio
-import dataclasses
 import inspect
 
 import pytest
 
+import repro.runtime
 from repro.runtime import (
     AsyncExtractionServer,
     PageJob,
     RequestError,
-    ServingConfig,
+    serve,
     serve_jobs,
     serve_jobs_sync,
 )
@@ -126,25 +126,23 @@ class TestCoalescing:
 
 
 class TestLimits:
-    def test_backpressure_bounds_the_queue(self):
-        config = ServingConfig(max_pending=2)
+    def test_backpressure_bounds_the_queue(self, monkeypatch):
+        monkeypatch.setattr(serve, "MAX_PENDING", 2)
         requests = [
             job(f"site-{i}@0", PAGE_A, ("t", TITLE)) for i in range(10)
         ]
-        results, stats = serve_jobs_sync(requests, config, concurrency=8)
+        results, stats = serve_jobs_sync(requests, concurrency=8)
         assert stats.peak_pending <= 2
         assert len(results) == len(requests)
 
-    def test_invalid_config_is_rejected(self):
-        with pytest.raises(ValueError):
-            ServingConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            ServingConfig(parse_cache_bytes=-1)
-
     def test_queue_bound_and_cache_budget_are_the_only_knobs(self):
-        fields = [field.name for field in dataclasses.fields(ServingConfig)]
-        assert fields == ["max_pending", "parse_cache_bytes"]
-        assert list(inspect.signature(AsyncExtractionServer).parameters) == ["config"]
+        """Both are module constants; nothing configures a server."""
+        assert (serve.MAX_PENDING, serve.PARSE_CACHE_BYTES) == (64, 64 * 1024 * 1024)
+        assert list(inspect.signature(AsyncExtractionServer).parameters) == []
+        assert list(inspect.signature(serve_jobs).parameters) == ["jobs", "concurrency"]
+        assert not hasattr(repro.runtime, "ServingConfig")
+        with pytest.raises(ImportError):
+            from repro.runtime import ServingConfig  # noqa: F401
 
 
 class TestFailureIsolation:
@@ -194,18 +192,17 @@ class TestFailureIsolation:
         must be failed, not left awaiting a future forever."""
         import time as _time
 
-        import repro.runtime.serve as serve_mod
-
-        original = serve_mod.extract_pages
+        original = serve.extract_pages
 
         def slow_pages(pages, cache=None):
             _time.sleep(0.1)  # hold the dispatcher so the queue backs up
             return original(pages, cache)
 
-        monkeypatch.setattr(serve_mod, "extract_pages", slow_pages)
+        monkeypatch.setattr(serve, "extract_pages", slow_pages)
+        monkeypatch.setattr(serve, "MAX_PENDING", 1)
 
         async def go():
-            server = AsyncExtractionServer(ServingConfig(max_pending=1))
+            server = AsyncExtractionServer()
             await server.start()
             tasks = [
                 asyncio.create_task(

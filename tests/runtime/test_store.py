@@ -18,12 +18,13 @@ from repro.runtime import (
     WrapperArtifact,
     shard_index,
     site_key_of,
+    store as store_mod,
 )
 from repro.runtime.corpus import snapshot0_annotation
 from repro.induction import QuerySample, WrapperInducer
 from repro.sites import single_node_tasks
 
-INDUCER = WrapperInducer(k=10)
+INDUCER = WrapperInducer()
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +168,9 @@ class TestLRUCache:
         assert after.misses == before.misses
         assert again == artifacts[0]
 
-    def test_eviction_at_capacity(self, tmp_path, artifacts):
-        store = ShardedArtifactStore(tmp_path / "small", n_shards=2, cache_size=2)
+    def test_eviction_at_capacity(self, tmp_path, artifacts, monkeypatch):
+        monkeypatch.setattr(store_mod, "ARTIFACT_CACHE_SIZE", 2)
+        store = ShardedArtifactStore(tmp_path / "small", n_shards=2)
         for artifact in artifacts[:4]:
             store.put(artifact)
         info = store.cache_info()
@@ -190,18 +192,29 @@ class TestLRUCache:
         os.utime(path, ns=(os.stat(path).st_mtime_ns + 1,) * 2)
         assert store.get(artifact.task_id).generation == 7
 
-    def test_cache_disabled(self, tmp_path, artifacts):
-        store = ShardedArtifactStore(tmp_path / "nocache", n_shards=2, cache_size=0)
+    def test_cache_disabled(self, tmp_path, artifacts, monkeypatch):
+        """A zero-size LRU evicts what it remembers: every get reads
+        the file."""
+        monkeypatch.setattr(store_mod, "ARTIFACT_CACHE_SIZE", 0)
+        store = ShardedArtifactStore(tmp_path / "nocache", n_shards=2)
         store.put(artifacts[0])
-        store.get(artifacts[0].task_id)
-        assert store.cache_info().size == 0
+        assert store.get(artifacts[0].task_id) == artifacts[0]
+        info = store.cache_info()
+        assert (info.size, info.hits, info.capacity) == (0, 0, 0)
+
+    def test_cache_size_is_a_constant(self, tmp_path):
+        store = ShardedArtifactStore(tmp_path / "default")
+        assert store.cache_info().capacity == store_mod.ARTIFACT_CACHE_SIZE == 128
+        with pytest.raises(TypeError):
+            ShardedArtifactStore(tmp_path / "sized", cache_size=8)
 
 
 def _hammer(args):
     """Worker for the concurrency test: re-put and re-read every
     artifact repeatedly; any torn read raises."""
     root, task_ids, rounds = args
-    store = ShardedArtifactStore(root, cache_size=0)
+    store_mod.ARTIFACT_CACHE_SIZE = 0  # this worker process reads every get from disk
+    store = ShardedArtifactStore(root)
     for _ in range(rounds):
         for task_id in task_ids:
             artifact = store.get(task_id)
@@ -266,10 +279,13 @@ class TestThreadedWriters:
         assert list(store.root.rglob("*.tmp-*")) == []
         assert store.get(artifact.task_id) == artifact
 
-    def test_reader_and_evicting_writer_share_the_lru_safely(self, tmp_path, artifacts):
+    def test_reader_and_evicting_writer_share_the_lru_safely(
+        self, tmp_path, artifacts, monkeypatch
+    ):
         """A get() parked between its cache lookup and move_to_end while
         another thread's put() evicts that entry must still answer."""
-        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4, cache_size=1)
+        monkeypatch.setattr(store_mod, "ARTIFACT_CACHE_SIZE", 1)
+        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4)
         first, second = artifacts[0], artifacts[1]
         store.put(first)
         looked_up, resume = threading.Event(), threading.Event()
@@ -316,10 +332,13 @@ class TestThreadedWriters:
         assert answer == first
         assert store.cache_info().size == 1
 
-    def test_lru_counters_survive_threads_sharing_a_small_cache(self, tmp_path, artifacts):
+    def test_lru_counters_survive_threads_sharing_a_small_cache(
+        self, tmp_path, artifacts, monkeypatch
+    ):
         """More threads than cores, a short switch interval, a cache one
         entry too small: no get fails and no hit or miss is lost."""
-        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4, cache_size=2)
+        monkeypatch.setattr(store_mod, "ARTIFACT_CACHE_SIZE", 2)
+        store = ShardedArtifactStore(tmp_path / "lru", n_shards=4)
         for artifact in artifacts[:3]:
             store.put(artifact)
         gets_per_thread, errors = 100, []
